@@ -1,17 +1,13 @@
 // Concurrency benchmark for the event-driven execution core.
 //
-// Part 1 — replica fan-out: a K=3 cluster runs the same single-client
-// create/write workload under each MirrorMode. Sequential mirroring
-// charges the foreground op the SUM of the per-target wire times;
-// overlapped mirroring charges only the slowest target (MAX); background
-// (the paper's model) charges nothing. The per-batch sum/max accumulators
-// in MirrorStats cross-check the measured makespans.
+// Part 1 — replica fan-out: a K=3 cluster runs a single-client
+// create/write workload. Mirroring is asynchronous (the paper's model), so
+// the makespan matches a K=1 run's while MirrorStats still counts every
+// mirror message.
 //
 // Part 2 — multi-client scaling: for each clients count, the same seeded
-// workload runs with overlapping client timelines and again with the
-// serial one-op-at-a-time charging model. Overlap makespan below the
-// serial makespan — and N-client makespan below N x the 1-client run — is
-// the concurrency win the event loop buys.
+// workload runs with overlapping client timelines. N-client makespan below
+// N x the 1-client makespan is the concurrency win the event loop buys.
 //
 // Flags: --clients=1,4,16 (csv), --nodes, --files, --bytes, --reads,
 //        --zipf=S (read-pass Zipf popularity skew; 0 = legacy round-robin),
@@ -48,13 +44,11 @@ std::vector<std::size_t> parse_csv_sizes(const std::string& csv) {
   return out;
 }
 
-ClusterConfig base_config(std::size_t nodes, std::uint64_t seed, unsigned replicas,
-                          KoshaConfig::MirrorMode mode) {
+ClusterConfig base_config(std::size_t nodes, std::uint64_t seed, unsigned replicas) {
   ClusterConfig config;
   config.nodes = nodes;
   config.seed = seed;
   config.kosha.replicas = replicas;
-  config.kosha.mirror_mode = mode;
   return config;
 }
 
@@ -67,8 +61,6 @@ sim::WorkloadResult run_once(const ClusterConfig& config, const sim::WorkloadCon
       const MirrorStats& ms = cluster.replicas(host).mirror_stats();
       mirrors->rpcs += ms.rpcs;
       mirrors->batches += ms.batches;
-      mirrors->sequential += ms.sequential;
-      mirrors->overlapped += ms.overlapped;
     }
   }
   return result;
@@ -79,7 +71,7 @@ sim::WorkloadResult run_once(const ClusterConfig& config, const sim::WorkloadCon
 /// to run by nature; kosha_prof's compare mode skips/ratio-gates them.
 int write_profile_json(const std::string& out, std::size_t nodes, std::uint64_t seed,
                        sim::WorkloadConfig workload, std::size_t clients) {
-  ClusterConfig config = base_config(nodes, seed, 1, KoshaConfig::MirrorMode::kBackground);
+  ClusterConfig config = base_config(nodes, seed, 1);
   config.observability.metrics = true;
   config.observability.tracing = true;
   config.observability.profiling = true;
@@ -163,80 +155,60 @@ int main(int argc, char** argv) {
   single.clients = 1;
   single.reads_per_file = 0;  // mutations only: reads never mirror
 
-  double mode_ms[3] = {0, 0, 0};
-  MirrorStats mirrors;  // accumulators are mode-independent; sample once
-  {
-    const auto bg = run_once(
-        base_config(nodes, seed, kReplicas, KoshaConfig::MirrorMode::kBackground), single);
-    const auto seq = run_once(
-        base_config(nodes, seed, kReplicas, KoshaConfig::MirrorMode::kSequential), single);
-    const auto ovl = run_once(
-        base_config(nodes, seed, kReplicas, KoshaConfig::MirrorMode::kOverlapped), single,
-        &mirrors);
-    mode_ms[0] = bg.makespan.to_millis();
-    mode_ms[1] = seq.makespan.to_millis();
-    mode_ms[2] = ovl.makespan.to_millis();
-  }
-  TextTable modes({"mirror mode (K=3)", "makespan (ms)", "vs background (ms)"});
-  modes.add_row({"background", TextTable::fmt(mode_ms[0]), TextTable::fmt(0.0)});
-  modes.add_row({"sequential (sum)", TextTable::fmt(mode_ms[1]),
-                 TextTable::fmt(mode_ms[1] - mode_ms[0])});
-  modes.add_row({"overlapped (max)", TextTable::fmt(mode_ms[2]),
-                 TextTable::fmt(mode_ms[2] - mode_ms[0])});
-  std::fputs(modes.to_string().c_str(), stdout);
-  std::printf("\nmirror rpcs=%llu batches=%llu; per-batch wire time: sum=%.3f ms, "
-              "max=%.3f ms\n(the overlapped run pays the max column, the sequential "
-              "run the sum)\n\n",
-              static_cast<unsigned long long>(mirrors.rpcs),
-              static_cast<unsigned long long>(mirrors.batches),
-              mirrors.sequential.to_millis(), mirrors.overlapped.to_millis());
+  MirrorStats mirrors;
+  const auto k1 = run_once(base_config(nodes, seed, 1), single);
+  const auto k3 = run_once(base_config(nodes, seed, kReplicas), single, &mirrors);
+  TextTable fanout({"replicas", "makespan (ms)", "mirror rpcs", "mirror batches"});
+  fanout.add_row({"1", TextTable::fmt(k1.makespan.to_millis()), "-", "-"});
+  fanout.add_row({std::to_string(kReplicas), TextTable::fmt(k3.makespan.to_millis()),
+                  std::to_string(mirrors.rpcs), std::to_string(mirrors.batches)});
+  std::fputs(fanout.to_string().c_str(), stdout);
+  std::printf("\nMirroring is asynchronous: the K=%u fan-out is counted, not charged to the\n"
+              "foreground op.\n\n",
+              kReplicas);
 
   // --- Part 2: multi-client scaling ----------------------------------------
-  TextTable scaling({"clients", "overlap makespan (ms)", "serial makespan (ms)", "speedup",
+  TextTable scaling({"clients", "makespan (ms)", "N x 1-client (ms)", "speedup",
                      "mean op (us)", "failures"});
   struct Row {
     std::size_t clients;
-    double overlap_ms;
-    double serial_ms;
+    double makespan_ms;
     double speedup;
   };
+  sim::WorkloadConfig one_client = workload;
+  one_client.clients = 1;
+  const double one_ms = run_once(base_config(nodes, seed, 1), one_client).makespan.to_millis();
   std::vector<Row> rows;
   for (const std::size_t n : clients_list) {
     sim::WorkloadConfig wl = workload;
     wl.clients = n;
-    wl.overlap = true;
-    const auto over = run_once(base_config(nodes, seed, 1, KoshaConfig::MirrorMode::kBackground), wl);
-    wl.overlap = false;
-    const auto serial =
-        run_once(base_config(nodes, seed, 1, KoshaConfig::MirrorMode::kBackground), wl);
-    const double speedup =
-        over.makespan.ns > 0
-            ? serial.makespan.to_millis() / over.makespan.to_millis()
-            : 0.0;
-    rows.push_back({n, over.makespan.to_millis(), serial.makespan.to_millis(), speedup});
-    scaling.add_row({std::to_string(n), TextTable::fmt(over.makespan.to_millis()),
-                     TextTable::fmt(serial.makespan.to_millis()), TextTable::fmt(speedup) + "x",
-                     TextTable::fmt(over.mean_op_us(), 1),
-                     std::to_string(over.failures + serial.failures)});
+    const auto run = run_once(base_config(nodes, seed, 1), wl);
+    const double ms = run.makespan.to_millis();
+    const double n_times_one = static_cast<double>(n) * one_ms;
+    const double speedup = ms > 0 ? n_times_one / ms : 0.0;
+    rows.push_back({n, ms, speedup});
+    scaling.add_row({std::to_string(n), TextTable::fmt(ms), TextTable::fmt(n_times_one),
+                     TextTable::fmt(speedup) + "x", TextTable::fmt(run.mean_op_us(), 1),
+                     std::to_string(run.failures)});
   }
   std::fputs(scaling.to_string().c_str(), stdout);
-  std::printf("\nSpeedup = serial/overlap: overlapping client timelines turn N clients'\n"
-              "independent RPCs into concurrent in-flight work instead of a serial sum.\n");
+  std::printf("\nSpeedup = N x 1-client makespan / N-client makespan: overlapping client\n"
+              "timelines turn N clients' independent RPCs into concurrent in-flight work.\n");
 
   if (const std::string out = args.get_string("metrics-out", ""); !out.empty()) {
     std::ostringstream json;
     json << "{\n  \"seed\": " << seed << ",\n  \"nodes\": " << nodes << ",\n";
-    json << "  \"mirror_modes\": {\"replicas\": " << kReplicas
-         << ", \"background_ms\": " << mode_ms[0] << ", \"sequential_ms\": " << mode_ms[1]
-         << ", \"overlapped_ms\": " << mode_ms[2] << ", \"mirror_rpcs\": " << mirrors.rpcs
-         << ", \"batch_sum_ms\": " << mirrors.sequential.to_millis()
-         << ", \"batch_max_ms\": " << mirrors.overlapped.to_millis() << "},\n";
+    json << "  \"mirroring\": {\"replicas\": " << kReplicas
+         << ", \"makespan_ms\": " << k3.makespan.to_millis()
+         << ", \"k1_makespan_ms\": " << k1.makespan.to_millis()
+         << ", \"mirror_rpcs\": " << mirrors.rpcs << ", \"mirror_batches\": " << mirrors.batches
+         << "},\n";
+    json << "  \"one_client_ms\": " << one_ms << ",\n";
     json << "  \"scaling\": [";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       if (i != 0) json << ", ";
-      json << "{\"clients\": " << rows[i].clients << ", \"overlap_ms\": " << rows[i].overlap_ms
-           << ", \"serial_ms\": " << rows[i].serial_ms << ", \"speedup\": " << rows[i].speedup
-           << "}";
+      json << "{\"clients\": " << rows[i].clients << ", \"makespan_ms\": " << rows[i].makespan_ms
+           << ", \"speedup\": " << rows[i].speedup << "}";
     }
     json << "]\n}\n";
     std::ofstream file(out);

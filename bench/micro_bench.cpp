@@ -22,6 +22,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/event_loop.hpp"
 #include "common/rng.hpp"
 #include "common/sha1.hpp"
 #include "fs/storage_backend.hpp"
@@ -63,7 +64,8 @@ BENCHMARK(BM_RingDistance);
 void BM_PastryRoute(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   SimClock clock;
-  net::SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  net::SimNetwork network({}, loop);
   pastry::PastryOverlay overlay({}, &network);
   Rng rng(7);
   for (std::size_t i = 0; i < nodes; ++i) overlay.join(rng.next_id(), network.add_host());

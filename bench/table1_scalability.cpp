@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "baseline/nfs_mount.hpp"
+#include "common/event_loop.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/metrics.hpp"
@@ -40,7 +41,8 @@ using namespace kosha;
 
 trace::MabPhaseTimes run_nfs_baseline(std::size_t runs, std::uint64_t seed) {
   SimClock clock;
-  net::SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  net::SimNetwork network({}, loop);
   const net::HostId client = network.add_host();
   const net::HostId server_host = network.add_host();
   fs::StorageConfig storage;

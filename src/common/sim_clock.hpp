@@ -63,10 +63,11 @@ class SimClock {
 
   /// Set the clock to exactly `t`, possibly rewinding (no-op when paused).
   /// Reserved for simulation drivers that evaluate alternative timelines
-  /// branching from one instant — overlapped replica fan-out charges each
-  /// mirror from the same start and keeps only the slowest finish, and the
-  /// multi-client workload driver hops between per-client timelines. Never
-  /// call this from component code: components only ever move time forward.
+  /// branching from one instant — koshad's degraded read races every
+  /// replica probe from the same start and keeps the earliest success, and
+  /// the multi-client and flash-crowd drivers hop between per-client
+  /// timelines. Never call this from component code: components only ever
+  /// move time forward.
   void set_now(SimDuration t) {
     if (pause_depth_ == 0) now_ = t;
   }

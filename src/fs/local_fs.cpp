@@ -1,6 +1,7 @@
 #include "fs/local_fs.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/path.hpp"
 
@@ -53,9 +54,13 @@ InodeId LocalFs::allocate(FileType type, std::uint32_t mode, std::uint32_t uid,
 void LocalFs::release(InodeId id) {
   Inode& node = inodes_[id - 1];
   used_bytes_ -= node.type == FileType::kFile ? node.data.size() : 0;
-  const std::uint64_t generation = node.generation;
-  node = Inode{};
-  node.generation = generation;  // preserved so stale handles stay stale
+  // Swap with a fresh inode rather than move-assigning one: assigning an
+  // empty string keeps the target's heap buffer, so the deleted file's
+  // bytes would stay resident until the slot is reused. The swap hands the
+  // buffer to `freed`, which releases it at scope exit.
+  Inode freed;
+  std::swap(node, freed);
+  node.generation = freed.generation;  // preserved so stale handles stay stale
   free_list_.push_back(id);
   --live_inodes_;
 }

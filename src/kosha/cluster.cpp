@@ -12,26 +12,15 @@ KoshaCluster::KoshaCluster(ClusterConfig config)
     : config_(std::move(config)),
       loop_(&clock_, config_.seed),
       rng_(config_.seed),
-      network_(config_.network, &clock_),
+      network_(config_.network, loop_),
       overlay_(config_.kosha.pastry, &network_) {
   if (const std::string err = config_.kosha.validate(); !err.empty()) {
     throw std::invalid_argument("KoshaConfig: " + err);
-  }
-  if (config_.self_heal.enabled && !config_.event_driven) {
-    throw std::invalid_argument(
-        "ClusterConfig: self_heal requires the event-driven execution model");
   }
   if (config_.self_heal.enabled) {
     overlay_.set_failure_listener([this](pastry::NodeId observer, pastry::NodeId dead) {
       on_failure_reported(observer, dead);
     });
-  }
-  // Execution model: attaching the event loop flips NfsClient's
-  // synchronous API onto the completion-based core (nfs_client.hpp); not
-  // attaching it preserves the legacy serial call-and-advance model.
-  if (config_.event_driven) {
-    network_.set_event_loop(&loop_);
-    runtime_.loop = &loop_;
   }
   if (config_.kosha.overload.enabled) {
     // Arm the network's per-host admission bounds; client-side controls

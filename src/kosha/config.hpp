@@ -28,18 +28,6 @@ struct KoshaConfig {
   /// closest leaf-set neighbors (paper §4.2). 0 = primary copy only.
   unsigned replicas = 1;
 
-  /// How the K-target mirror fan-out charges virtual time:
-  ///  * kBackground — fully off the critical path: the traffic is counted
-  ///    but the foreground op is not delayed (the paper's model of
-  ///    "asynchronous" mirroring; default).
-  ///  * kSequential — one wire at a time: the foreground op pays the SUM
-  ///    of the per-target costs (the old serial execution model).
-  ///  * kOverlapped — all K mirrors in flight at once on the event-driven
-  ///    core: the foreground op pays only the slowest target (MAX).
-  /// See bench/concurrency_bench for the sum-vs-max comparison.
-  enum class MirrorMode { kBackground, kSequential, kOverlapped };
-  MirrorMode mirror_mode = MirrorMode::kBackground;
-
   /// Maximum salted-rehash attempts when the selected node is over the
   /// utilization threshold (paper §3.3, PAST-style iterative redirection).
   unsigned max_redirects = 4;

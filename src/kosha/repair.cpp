@@ -3,6 +3,7 @@
 #include <cassert>
 #include <string>
 
+#include "common/event_loop.hpp"
 #include "common/tracing.hpp"
 #include "kosha/replication.hpp"
 
@@ -10,7 +11,7 @@ namespace kosha {
 
 RepairDaemon::RepairDaemon(RepairDaemonConfig config, Runtime* runtime, net::HostId host)
     : config_(config), runtime_(runtime), host_(host) {
-  assert(runtime_ != nullptr && runtime_->loop != nullptr);
+  assert(runtime_ != nullptr);
 }
 
 void RepairDaemon::start() {
@@ -27,11 +28,11 @@ void RepairDaemon::stop() {
 }
 
 void RepairDaemon::schedule_tick() {
-  EventLoop* loop = runtime_->loop;
-  const SimDuration delay = config_.period + loop->jitter(config_.jitter);
+  EventLoop& loop = runtime_->network->loop();
+  const SimDuration delay = config_.period + loop.jitter(config_.jitter);
   Runtime* runtime = runtime_;
   const net::HostId host = host_;
-  loop->schedule_after(delay, "repair.tick", [runtime, host] {
+  loop.schedule_after(delay, "repair.tick", [runtime, host] {
     if (RepairDaemon* d = runtime->repair_daemon(host)) d->tick();
   });
 }

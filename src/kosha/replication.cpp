@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 
 #include "common/log.hpp"
 #include "common/metrics.hpp"
@@ -175,30 +174,16 @@ void ReplicaManager::unregister_primary(const std::string& stored_anchor_path) {
 // Mutation mirroring
 // ---------------------------------------------------------------------------
 // Every mirror op applies the primary-side mutation at the same stored path
-// inside the hidden area of each live replica target. What the fan-out
-// costs the foreground op is KoshaConfig::mirror_mode's call: kBackground
-// pauses the clock (messages counted, no foreground delay — the paper's
-// "asynchronous" model), kSequential lets each wire charge in turn (the
-// op pays the sum), kOverlapped rewinds to the batch start before each
-// wire and ends at the slowest one (the op pays the max). Both the sum
-// and the max are accumulated in MirrorStats regardless of mode.
+// inside the hidden area of each live replica target. Mirroring is
+// asynchronous (paper §4.2): the fan-out runs under a paused clock, so its
+// messages are counted but the foreground op is not delayed.
 
 std::size_t ReplicaManager::fan_out(std::size_t payload,
                                     const std::function<void(net::HostId)>& apply) {
   const std::vector<net::HostId> targets = live_target_hosts();
   if (targets.empty()) return 0;
-  SimClock& clock = *runtime_->clock;
-  const KoshaConfig::MirrorMode mode = runtime_->config.mirror_mode;
-  // An already-paused clock (membership-driven repair/push) keeps the
-  // fan-out free no matter the mode: set_now/advance are no-ops there.
-  std::optional<ClockPauser> pause;
-  if (mode == KoshaConfig::MirrorMode::kBackground) pause.emplace(clock);
-  const SimDuration start = clock.now();
-  SimDuration sum{};
-  SimDuration slowest{};
+  ClockPauser pause(*runtime_->clock);
   for (const net::HostId host : targets) {
-    if (mode == KoshaConfig::MirrorMode::kOverlapped) clock.set_now(start);
-    const SimDuration before = clock.now();
     // One span per replica target: a mutating client op traces as the
     // primary forward plus this fan-out of mirror spans.
     SpanScope span(runtime_->tracer, "replica.mirror", host_);
@@ -206,15 +191,9 @@ std::size_t ReplicaManager::fan_out(std::size_t payload,
     if (mirror_ops_ != nullptr) mirror_ops_->inc();
     runtime_->network->charge_message(host_, host, payload);
     apply(host);
-    const SimDuration took = clock.now() - before;
-    sum = sum + took;
-    if (took > slowest) slowest = took;
   }
-  if (mode == KoshaConfig::MirrorMode::kOverlapped) clock.set_now(start + slowest);
   mirror_stats_.rpcs += targets.size();
   mirror_stats_.batches += 1;
-  mirror_stats_.sequential = mirror_stats_.sequential + sum;
-  mirror_stats_.overlapped = mirror_stats_.overlapped + slowest;
   return targets.size();
 }
 

@@ -10,6 +10,7 @@
 // persistent: if koshad crashes the whole machine crashed (§4.4).
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -59,7 +60,8 @@ class VirtualHandleTable {
  private:
   std::uint64_t next_ = 1;
   std::unordered_map<std::uint64_t, VhEntry> entries_;
-  std::unordered_map<std::string, std::uint64_t> by_path_;
+  /// Ordered so a subtree is one contiguous key range (drop_subtree).
+  std::map<std::string, std::uint64_t> by_path_;
 };
 
 }  // namespace kosha

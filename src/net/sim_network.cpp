@@ -1,18 +1,16 @@
 #include "net/sim_network.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 
+#include "common/event_loop.hpp"
 #include "common/metrics.hpp"
 #include "common/profile.hpp"
 
 namespace kosha::net {
 
-SimNetwork::SimNetwork(NetworkConfig config, SimClock* clock)
-    : config_(config), clock_(clock) {
-  assert(clock_ != nullptr);
-}
+SimNetwork::SimNetwork(NetworkConfig config, EventLoop& loop)
+    : config_(config), loop_(&loop), clock_(&loop.clock()) {}
 
 HostId SimNetwork::add_host() {
   up_.push_back(true);
@@ -32,27 +30,6 @@ void SimNetwork::charge_rtt(HostId src, HostId dst, std::size_t payload_bytes) {
   charge_message(dst, src, 0);
 }
 
-bool SimNetwork::try_message(HostId src, HostId dst, std::size_t payload_bytes) {
-  if (fault_plan_ != nullptr) {
-    switch (fault_plan_->judge(src, dst, clock_->now())) {
-      case FaultPlan::Delivery::kDeliver:
-        break;
-      case FaultPlan::Delivery::kDrop:
-      case FaultPlan::Delivery::kBrownout:
-        ++stats_.drops;
-        return false;
-      case FaultPlan::Delivery::kPartitioned:
-        ++stats_.partitioned;
-        return false;
-    }
-    charge_message(src, dst, payload_bytes);
-    if (src != dst) clock_->advance(fault_plan_->draw_spike());
-    return true;
-  }
-  charge_message(src, dst, payload_bytes);
-  return true;
-}
-
 void SimNetwork::charge_overlay_hop(HostId src, HostId dst) {
   if (src != dst) ++stats_.overlay_hops;
   charge_message(src, dst, 0);
@@ -65,10 +42,6 @@ void SimNetwork::charge_timeout() {
 
 SimNetwork::WirePlan SimNetwork::plan_message(HostId src, HostId dst,
                                               std::size_t payload_bytes, SimDuration at) {
-  // Mirrors try_message byte-for-byte on the counters and the Rng stream
-  // (judge, then one spike draw per delivered non-local message) so a
-  // single-in-flight event-driven schedule replays the serial model's
-  // numbers exactly.
   SimDuration spike{};
   if (fault_plan_ != nullptr) {
     switch (fault_plan_->judge(src, dst, at)) {

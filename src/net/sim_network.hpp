@@ -9,9 +9,11 @@
 // dead host costs a timeout. All costs accrue on a shared SimClock, and
 // message/hop counters feed the analytic-model comparison in §6.1.2.
 //
-// An optional FaultPlan (net/fault_plan.hpp) enriches the binary up/down
-// model with message drops, host brownouts, partitions, and latency
-// spikes; senders that can observe loss route through try_message().
+// Every network runs on an EventLoop: RPC messages are planned with
+// plan_message() and delivered as scheduled events through per-host
+// service queues. An optional FaultPlan (net/fault_plan.hpp) enriches the
+// binary up/down model with message drops, host brownouts, partitions,
+// and latency spikes; plan_message() judges every RPC message under it.
 
 #include <array>
 #include <cstdint>
@@ -78,8 +80,8 @@ struct NetStats {
   /// Messages blocked by an active partition window.
   std::uint64_t partitioned = 0;
   /// Total virtual time requests spent queued behind earlier requests at
-  /// their destination's service queue (event-driven execution only — the
-  /// serial model admits every request instantly).
+  /// their destination's service queue. Zero while only one RPC is ever
+  /// in flight: a lone request always finds its server idle.
   std::uint64_t queue_delay_ns = 0;
   /// Highest number of simultaneously in-flight (arrived, not yet
   /// completed) RPCs observed at any single host.
@@ -108,7 +110,9 @@ struct NetStats {
 /// Flat simulated network: liveness registry + virtual-time cost charging.
 class SimNetwork {
  public:
-  SimNetwork(NetworkConfig config, SimClock* clock);
+  /// The network runs on `loop` (which must outlive it) and charges time
+  /// on the loop's clock.
+  SimNetwork(NetworkConfig config, EventLoop& loop);
 
   /// Register a new host (initially up); returns its id.
   HostId add_host();
@@ -121,25 +125,14 @@ class SimNetwork {
   /// Local delivery (src == dst) is free.
   void charge_message(HostId src, HostId dst, std::size_t payload_bytes = 0);
 
-  /// Attempt delivery of one message under the installed fault plan.
-  /// Returns true and charges latency (plus any spike) on delivery;
-  /// returns false without charging when the message is lost (dropped,
-  /// browned out, or partitioned) — the caller decides what loss costs
-  /// (an RPC client charges its timeout). Without a plan this is
-  /// charge_message().
-  bool try_message(HostId src, HostId dst, std::size_t payload_bytes = 0);
-
   /// Install (or clear, with nullptr) the fault plan.
   void set_fault_plan(std::unique_ptr<FaultPlan> plan) { fault_plan_ = std::move(plan); }
   [[nodiscard]] FaultPlan* fault_plan() const { return fault_plan_.get(); }
 
   // --- event-driven delivery (completion-based RPC path) ------------------
 
-  /// Attach the discrete-event scheduler. Non-null switches NfsClient's
-  /// synchronous API onto the completion-based core; null (the default)
-  /// keeps the legacy serial call-and-advance model.
-  void set_event_loop(EventLoop* loop) { loop_ = loop; }
-  [[nodiscard]] EventLoop* loop() const { return loop_; }
+  /// The discrete-event scheduler every RPC runs on.
+  [[nodiscard]] EventLoop& loop() const { return *loop_; }
 
   /// Verdict of plan_message: whether the wire delivers, and when.
   struct WirePlan {
@@ -148,12 +141,13 @@ class SimNetwork {
   };
 
   /// Plan one one-way message sent at `at` without touching the clock:
-  /// judge it under the fault plan (same Rng draw order as try_message —
-  /// one drop draw per judged message, one spike draw per delivered
-  /// non-local message) and compute the arrival time from latency plus
-  /// per-byte cost plus any spike. Counters update exactly as
-  /// try_message's would; the caller turns `arrival` into a delivery
-  /// event instead of advancing the clock.
+  /// judge it under the fault plan (one drop draw per judged message, one
+  /// spike draw per delivered non-local message) and compute the arrival
+  /// time from latency plus per-byte cost plus any spike. A delivered
+  /// message counts in `messages`/`bytes`; a lost one (dropped, browned
+  /// out, or partitioned) in `drops`/`partitioned`, and the caller decides
+  /// what loss costs (an RPC client waits out its timeout). The caller
+  /// turns `arrival` into a delivery event.
   [[nodiscard]] WirePlan plan_message(HostId src, HostId dst, std::size_t payload_bytes,
                                       SimDuration at);
 
@@ -284,6 +278,7 @@ class SimNetwork {
   void init_host_obs(HostId host, HostObs& obs);
 
   NetworkConfig config_;
+  EventLoop* loop_;
   SimClock* clock_;
   std::vector<bool> up_;
   NetStats stats_;
@@ -291,9 +286,8 @@ class SimNetwork {
   MetricsRegistry* metrics_ = nullptr;
   Tracer* tracer_ = nullptr;
   SimProfiler* profiler_ = nullptr;
-  EventLoop* loop_ = nullptr;
   /// Per-host single-server FIFO queues: when each host's service slot
-  /// frees up. Only the event-driven path reads or writes these.
+  /// frees up.
   std::vector<SimDuration> busy_until_;
   std::vector<int> inflight_;
   std::vector<HostObs> host_obs_;

@@ -24,24 +24,9 @@ NfsClient::NfsClient(net::SimNetwork* network, const ServerDirectory* directory,
   assert(network_ != nullptr && directory_ != nullptr);
 }
 
-NfsClient::SendOutcome NfsClient::send_request(net::HostId server, std::size_t request_bytes,
-                                               NfsServer** out) {
-  NfsServer* s = directory_->find(server);
-  if (s == nullptr || !network_->is_up(server)) return SendOutcome::kHardDown;
-  if (!network_->try_message(self_, server, request_bytes)) return SendOutcome::kLost;
-  *out = s;
-  return SendOutcome::kSent;
-}
-
-bool NfsClient::deliver_reply(net::HostId server, std::size_t reply_bytes) {
-  return network_->try_message(server, self_, reply_bytes);
-}
-
 SimDuration NfsClient::backoff_duration(unsigned attempt) {
   return retry_.jittered_backoff(attempt, jitter_rng_);
 }
-
-void NfsClient::backoff(unsigned attempt) { network_->clock().advance(backoff_duration(attempt)); }
 
 NfsClient::ProcMetrics& NfsClient::proc_metrics(NfsProc proc) {
   ProcMetrics& pm = proc_metrics_[proc_slot(proc)];
@@ -99,12 +84,22 @@ template <typename ReplyT, typename Invoke, typename ReplyBytes>
 NfsResult<ReplyT> NfsClient::transact(NfsProc proc, net::HostId server,
                                       std::size_t request_bytes, Invoke&& invoke,
                                       ReplyBytes&& reply_bytes) {
+  // RPCs cost real service-queue time, so none may run under a paused
+  // clock: background work charges its traffic store-direct instead.
+  assert(!network_->clock().paused());
   SpanScope span(network_->tracer(), rpc_span_name(proc), self_);
   if (span.active()) span.tag("server", std::to_string(server));
   const SimDuration start = network_->clock().now();
-  NfsResult<ReplyT> reply = transact_impl<ReplyT>(
-      proc_slot(proc), server, request_bytes, std::forward<Invoke>(invoke),
-      std::forward<ReplyBytes>(reply_bytes));
+  // The synchronous API is a thin wrapper over the completion-based core:
+  // submit the call, then drive the loop until its completion fires.
+  std::optional<NfsResult<ReplyT>> final_reply;
+  call_async<ReplyT>(proc_slot(proc), server, request_bytes, std::forward<Invoke>(invoke),
+                     std::forward<ReplyBytes>(reply_bytes),
+                     [&final_reply](NfsResult<ReplyT> r) { final_reply = std::move(r); });
+  network_->loop().run_until([&final_reply] { return final_reply.has_value(); });
+  assert(final_reply.has_value());
+  NfsResult<ReplyT> reply =
+      final_reply.has_value() ? *std::move(final_reply) : NfsResult<ReplyT>(NfsStat::kTimedOut);
   if (network_->metrics() != nullptr) {
     ProcMetrics& pm = proc_metrics(proc);
     pm.latency->record((network_->clock().now() - start).to_micros());
@@ -113,105 +108,6 @@ NfsResult<ReplyT> NfsClient::transact(NfsProc proc, net::HostId server,
   if (SimProfiler* prof = network_->profiler(); prof != nullptr) prof->note_op();
   if (!reply.ok()) span.status(to_string(reply.error()));
   return reply;
-}
-
-template <typename ReplyT, typename Invoke, typename ReplyBytes>
-NfsResult<ReplyT> NfsClient::transact_impl(std::size_t proc_slot, net::HostId server,
-                                           std::size_t request_bytes, Invoke&& invoke,
-                                           ReplyBytes&& reply_bytes) {
-  // Event-driven execution: run the RPC through the completion-based core
-  // and drive the loop until our completion fires — the thin synchronous
-  // wrapper of the async split. A paused clock falls back to the serial
-  // path, where charges are already no-ops (background work must not
-  // occupy real service-queue time).
-  if (EventLoop* loop = network_->loop();
-      loop != nullptr && !network_->clock().paused()) {
-    std::optional<NfsResult<ReplyT>> final_reply;
-    call_async<ReplyT>(proc_slot, server, request_bytes, std::forward<Invoke>(invoke),
-                       std::forward<ReplyBytes>(reply_bytes),
-                       [&final_reply](NfsResult<ReplyT> r) { final_reply = std::move(r); });
-    loop->run_until([&final_reply] { return final_reply.has_value(); });
-    assert(final_reply.has_value());
-    if (!final_reply.has_value()) return NfsStat::kTimedOut;
-    return *std::move(final_reply);
-  }
-
-  if (overload_.enabled) {
-    if (budget_.has_value()) budget_->earn();
-    // Serial callers are the legacy execution model or background work
-    // under a paused clock; the latter is low-priority and sheds at the
-    // tighter admission bound so anti-entropy yields to client RPCs.
-    const bool low_priority = network_->clock().paused();
-    const SimDuration now = network_->clock().now();
-    // Background work runs between foreground ops, when the last stamped
-    // op deadline is stale — it sheds on the low-priority bound only.
-    const SimDuration deadline = low_priority ? SimDuration{} : op_deadline_;
-    if (network_->admit(server, now, deadline, low_priority) !=
-        net::SimNetwork::Admit::kAdmit) {
-      return NfsStat::kOverloaded;
-    }
-    if (CircuitBreaker* b = breaker_for(server); b != nullptr && !b->allow(now)) {
-      return NfsStat::kOverloaded;
-    }
-  }
-
-  const unsigned attempts = std::max(1u, retry_.max_attempts);
-  // Whether any request was delivered (and thus the procedure executed at
-  // least once). Decides the give-up status: kTimedOut when the op may
-  // have taken effect, kUnreachable when it certainly did not.
-  bool executed = false;
-  for (unsigned attempt = 0;; ++attempt) {
-    NfsServer* s = nullptr;
-    switch (send_request(server, request_bytes, &s)) {
-      case SendOutcome::kHardDown:
-        // Permanent death is detected in one timeout and never retried:
-        // failover (not retransmission) is the right reaction.
-        network_->charge_timeout();
-        network_->note_proc_timeout(proc_slot);
-        if (CircuitBreaker* b = breaker_for(server)) b->on_failure(network_->clock().now());
-        return executed ? NfsStat::kTimedOut : NfsStat::kUnreachable;
-      case SendOutcome::kLost:
-        network_->charge_timeout();
-        network_->note_proc_timeout(proc_slot);
-        if (CircuitBreaker* b = breaker_for(server)) b->on_failure(network_->clock().now());
-        break;
-      case SendOutcome::kSent: {
-        executed = true;
-        network_->note_proc_message(proc_slot, request_bytes);
-        NfsResult<ReplyT> reply = invoke(*s);
-        const std::size_t rb = reply_bytes(reply);
-        if (deliver_reply(server, rb)) {
-          network_->note_proc_message(proc_slot, rb);
-          if (overload_.enabled) {
-            if (!reply.ok() && reply.error() == NfsStat::kOverloaded) {
-              ++overloaded_replies_;
-              if (CircuitBreaker* b = breaker_for(server)) {
-                b->on_failure(network_->clock().now());
-              }
-            } else if (CircuitBreaker* b = breaker_for(server)) {
-              b->on_success();
-            }
-          }
-          return reply;
-        }
-        // Reply lost: the op may have executed — the retransmission below
-        // reuses the xid so the server's DRC returns this very reply.
-        network_->charge_timeout();
-        network_->note_proc_timeout(proc_slot);
-        if (CircuitBreaker* b = breaker_for(server)) b->on_failure(network_->clock().now());
-        break;
-      }
-    }
-    if (attempt + 1 >= attempts) {
-      return executed ? NfsStat::kTimedOut : NfsStat::kUnreachable;
-    }
-    if (overload_.enabled && budget_.has_value() && !budget_->spend()) {
-      // Out of retry tokens: shed our own retransmission.
-      return executed ? NfsStat::kTimedOut : NfsStat::kOverloaded;
-    }
-    network_->count_retry(proc_slot);
-    backoff(attempt);
-  }
 }
 
 NfsResult<FileHandle> NfsClient::mount(net::HostId server) {

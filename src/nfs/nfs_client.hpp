@@ -21,8 +21,8 @@
 // may have executed with its reply lost — re-issuing a non-idempotent op
 // requires adopting an already-applied result; see koshad's ladder).
 //
-// A third regime exists when RetryPolicy::response_timeout > 0 (the
-// event-driven model only): a *delivered* request whose reply has not come
+// A third regime exists when RetryPolicy::response_timeout > 0: a
+// *delivered* request whose reply has not come
 // back within the timeout is abandoned and retransmitted. The abandoned
 // copy keeps queueing and executing server-side — that dead work is the
 // raw material of metastable congestive collapse, which is why abandonment
@@ -106,16 +106,14 @@ class NfsClient {
   /// breakers). All zero while overload control is disabled.
   [[nodiscard]] OverloadClientStats overload_stats() const;
 
-  /// The completion-based RPC core of the event-driven execution model.
-  /// Sends the request now; every later step — wire arrival, admission to
-  /// the destination's service queue, execution, the reply's wire trip,
-  /// timeout detection, and retry backoff — is a scheduled event on the
-  /// network's event loop, so other work interleaves with this RPC in
-  /// virtual time. `done` fires from the loop with the final result (the
-  /// reply, or kTimedOut/kUnreachable once retries are exhausted — same
-  /// semantics as the synchronous path, which is now a thin wrapper that
-  /// drives the loop until its own completion fires). Requires
-  /// `network()->loop() != nullptr`.
+  /// The completion-based RPC core. Sends the request now; every later
+  /// step — wire arrival, admission to the destination's service queue,
+  /// execution, the reply's wire trip, timeout detection, and retry
+  /// backoff — is a scheduled event on the network's event loop, so other
+  /// work interleaves with this RPC in virtual time. `done` fires from the
+  /// loop with the final result (the reply, or kTimedOut/kUnreachable
+  /// once retries are exhausted). The synchronous procedures below are a
+  /// thin wrapper that drives the loop until their own completion fires.
   template <typename ReplyT, typename Invoke, typename ReplyBytes>
   void call_async(std::size_t proc_slot, net::HostId server, std::size_t request_bytes,
                   Invoke invoke, ReplyBytes reply_bytes,
@@ -154,34 +152,18 @@ class NfsClient {
   [[nodiscard]] NfsResult<FsstatReply> fsstat(net::HostId server);
 
  private:
-  /// What happened to one request transmission.
-  enum class SendOutcome {
-    kSent,      // delivered; *out points at the server
-    kLost,      // lost in transit (fault plan): worth retrying
-    kHardDown,  // server dead or absent: fail fast, no retries
-  };
-
-  SendOutcome send_request(net::HostId server, std::size_t request_bytes, NfsServer** out);
-  [[nodiscard]] bool deliver_reply(net::HostId server, std::size_t reply_bytes);
   /// Exponential backoff (with jitter) before retry `attempt`; consumes
-  /// one jitter draw. The serial path charges it on the clock, the async
-  /// path turns it into a timer event.
+  /// one jitter draw. The call state machine turns it into a timer event.
   [[nodiscard]] SimDuration backoff_duration(unsigned attempt);
-  /// Charge the exponential backoff (with jitter) before retry `attempt`.
-  void backoff(unsigned attempt);
 
-  /// Run one RPC through the full retry state machine. `invoke` performs
-  /// the server-side procedure; `reply_bytes` sizes the reply message for
-  /// the returned value. Wraps transact_impl with a per-procedure span and
-  /// latency/outcome metrics when observability is on.
+  /// Run one RPC through the call state machine and block on its result.
+  /// `invoke` performs the server-side procedure; `reply_bytes` sizes the
+  /// reply message for the returned value. Wraps the call with a
+  /// per-procedure span and latency/outcome metrics when observability is
+  /// on.
   template <typename ReplyT, typename Invoke, typename ReplyBytes>
   NfsResult<ReplyT> transact(NfsProc proc, net::HostId server, std::size_t request_bytes,
                              Invoke&& invoke, ReplyBytes&& reply_bytes);
-
-  template <typename ReplyT, typename Invoke, typename ReplyBytes>
-  NfsResult<ReplyT> transact_impl(std::size_t proc_slot, net::HostId server,
-                                  std::size_t request_bytes, Invoke&& invoke,
-                                  ReplyBytes&& reply_bytes);
 
   /// Lazily-resolved instruments for one procedure (null when metrics off).
   struct ProcMetrics {
@@ -233,11 +215,11 @@ class NfsClient {
 // call_async — the event-driven RPC state machine
 // ---------------------------------------------------------------------------
 // One heap-allocated Call per RPC, kept alive by the events it schedules.
-// The timeline replays the serial retry loop exactly when nothing else is
-// in flight: the fault plan judges each message at the same virtual
-// instants, the jitter stream is drawn in the same order, and every
-// NetStats counter moves identically — that equivalence is what lets the
-// synchronous wrapper switch execution models without changing a number.
+// A lost message (or a server that died with the request queued) costs
+// one rpc_timeout, then a jittered backoff, then a retransmission under
+// the same xid, up to RetryPolicy::max_attempts; a hard-down server costs
+// one timeout and no retries. When nothing else is in flight a call's
+// cost is the sum of its wire trips, service time, timeouts and backoffs.
 //
 // With response_timeout > 0 ("timed mode") the machine grows a second
 // track: every transmission arms an abandonment timer, and a request's
@@ -265,8 +247,8 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
     ReplyBytes reply_bytes;
     std::function<void(NfsResult<ReplyT>)> done;
     unsigned attempt = 0;
-    /// Whether any request was delivered (see transact_impl): decides
-    /// kTimedOut vs kUnreachable when attempts run out. In timed mode a
+    /// Whether any request was delivered (the procedure may have
+    /// executed): decides kTimedOut vs kUnreachable when attempts run out. In timed mode a
     /// delivered request counts immediately — the queued copy may still
     /// execute after the attempt is abandoned, so "delivered" is the only
     /// safe proxy for "may have executed".
@@ -380,7 +362,8 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
     void start() {
       NfsServer* s = c->directory_->find(server);
       if (s == nullptr || !c->network_->is_up(server)) {
-        // Permanent death: one timeout, no retries (see transact_impl).
+        // Permanent death is detected in one timeout and never retried:
+        // failover (not retransmission) is the right reaction.
         c->network_->note_timeout();
         c->network_->note_proc_timeout(slot);
         const SimDuration now = loop->now();
@@ -553,7 +536,7 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
   if (overload_.enabled && budget_.has_value()) budget_->earn();
   auto call = std::make_shared<Call>(std::move(invoke), std::move(reply_bytes));
   call->c = this;
-  call->loop = network_->loop();
+  call->loop = &network_->loop();
   call->slot = proc_slot;
   call->server = server;
   call->request_bytes = request_bytes;

@@ -1,6 +1,6 @@
 #pragma once
 
-// Multi-client workload driver for the event-driven execution model.
+// Multi-client workload driver.
 //
 // Runs N simulated clients against one cluster, each mounting /kosha on
 // its own host and working in a private /u<c> subtree (mkdir, then a
@@ -10,10 +10,8 @@
 // client index), hopping the cluster clock between per-client timelines,
 // so service-queue contention at the storage nodes is observed in
 // timestamp order and the schedule is deterministic for a given seed.
-//
-// With `overlap` off the same op sequence is charged serially — every
-// client pays for every other client's ops — which is the legacy
-// one-RPC-at-a-time model. bench/concurrency_bench compares the two.
+// bench/concurrency_bench compares N clients' makespan with N times one
+// client's.
 
 #include <algorithm>
 #include <cmath>
@@ -67,9 +65,6 @@ struct WorkloadConfig {
   /// Whole-file reads (with content verification) per file after the
   /// write pass.
   std::size_t reads_per_file = 2;
-  /// true: client timelines overlap (makespan = latest finish − start).
-  /// false: ops are charged back-to-back (makespan = sum of all ops).
-  bool overlap = true;
   /// Read-pass popularity skew. 0 (default) keeps the legacy round-robin
   /// file selection; > 0 draws each read's file from Zipf(zipf_s) using a
   /// per-client stream forked from the cluster seed, so hot-file

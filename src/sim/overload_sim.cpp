@@ -59,7 +59,6 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
   ClusterConfig cluster_config;
   cluster_config.nodes = config.nodes;
   cluster_config.seed = config.seed;
-  cluster_config.event_driven = true;
   cluster_config.kosha.replicas = config.replicas;
   cluster_config.kosha.retry = config.retry;
   if (config.controlled) {

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "baseline/nfs_mount.hpp"
+#include "common/event_loop.hpp"
 #include "common/rng.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
@@ -37,7 +38,8 @@ std::map<std::string, std::string> snapshot(Mount& mount, const std::string& pat
 
 struct BaselineFixture {
   SimClock clock;
-  net::SimNetwork network{{}, &clock};
+  EventLoop loop{&clock};
+  net::SimNetwork network{{}, loop};
   net::HostId client = network.add_host();
   net::HostId server_host = network.add_host();
   nfs::NfsServer server{server_host, {}, {}, &clock};

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/event_loop.hpp"
 #include "nfs/nfs_client.hpp"
 
 namespace kosha::nfs {
@@ -12,7 +13,8 @@ namespace {
 
 struct Fixture {
   SimClock clock;
-  net::SimNetwork network{{}, &clock};
+  EventLoop loop{&clock};
+  net::SimNetwork network{{}, loop};
   net::HostId client_host = network.add_host();
   net::HostId server_host = network.add_host();
   NfsServer server{server_host, {}, {}, &clock};

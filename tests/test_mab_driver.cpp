@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "baseline/nfs_mount.hpp"
+#include "common/event_loop.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
 #include "trace/mab.hpp"
@@ -56,7 +59,8 @@ TEST(MabDriver, RunsOnKoshaAndCleansUp) {
 
 TEST(MabDriver, RunsOnPlainNfs) {
   SimClock clock;
-  net::SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  net::SimNetwork network({}, loop);
   const net::HostId client = network.add_host();
   const net::HostId server_host = network.add_host();
   nfs::NfsServer server(server_host, {}, {}, &clock);
@@ -71,6 +75,32 @@ TEST(MabDriver, RunsOnPlainNfs) {
   EXPECT_EQ(server.store().used_bytes(), 0u);
 }
 
+TEST(MabDriver, PlainNfsPhaseTimesArePinned) {
+  // One client, one server, one RPC in flight: every phase costs the sum
+  // of its wire trips and service times. Recorded from the serial
+  // call-and-advance model that preceded the event loop; any drift is a
+  // behaviour change in the RPC path.
+  SimClock clock;
+  EventLoop loop(&clock);
+  net::SimNetwork network({}, loop);
+  const net::HostId client = network.add_host();
+  const net::HostId server_host = network.add_host();
+  nfs::NfsServer server(server_host, {}, {}, &clock);
+  nfs::ServerDirectory directory;
+  directory.add(&server);
+  baseline::NfsMount mount(&network, &directory, client, server_host);
+
+  const auto times = trace::run_mab(mount, trace::generate_mab(tiny_mab(2)), clock);
+  const auto ns = [](double seconds) { return std::llround(seconds * 1e9); };
+  EXPECT_EQ(ns(times.mkdir_s), 21'914'560);
+  EXPECT_EQ(ns(times.copy_s), 300'724'659);
+  EXPECT_EQ(ns(times.stat_s), 21'996'800);
+  EXPECT_EQ(ns(times.grep_s), 261'106'865);
+  EXPECT_EQ(ns(times.compile_s), 1'772'261'533);
+  EXPECT_EQ(network.stats().messages, 982u);
+  EXPECT_EQ(network.stats().bytes, 7'634'676u);
+}
+
 TEST(MabDriver, KoshaOverheadIsBoundedAndPositive) {
   // A coarse guard on the paper's headline: Kosha costs more than plain
   // NFS, but not an order of magnitude more.
@@ -79,7 +109,8 @@ TEST(MabDriver, KoshaOverheadIsBoundedAndPositive) {
   double nfs_total = 0;
   {
     SimClock clock;
-    net::SimNetwork network({}, &clock);
+    EventLoop loop(&clock);
+    net::SimNetwork network({}, loop);
     const net::HostId client = network.add_host();
     const net::HostId server_host = network.add_host();
     nfs::NfsServer server(server_host, {}, {}, &clock);

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "common/event_loop.hpp"
 #include "common/rng.hpp"
 #include "net/sim_network.hpp"
 #include "pastry/overlay.hpp"
@@ -14,7 +15,8 @@ namespace {
 
 struct Fixture {
   SimClock clock;
-  net::SimNetwork network{{}, &clock};
+  EventLoop loop{&clock};
+  net::SimNetwork network{{}, loop};
   PastryOverlay overlay{{}, &network};
   Rng rng;
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/event_loop.hpp"
 #include "common/rng.hpp"
 #include "net/sim_network.hpp"
 #include "pastry/overlay.hpp"
@@ -16,7 +17,8 @@ class OverlayInvariants : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OverlayInvariants, HoldAfterChurn) {
   SimClock clock;
-  net::SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  net::SimNetwork network({}, loop);
   PastryOverlay overlay({}, &network);
   Rng rng(GetParam());
   std::vector<NodeId> live;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/event_loop.hpp"
 #include "common/rng.hpp"
 #include "common/sim_clock.hpp"
 #include "kosha/cluster.hpp"
@@ -169,7 +170,8 @@ TEST(CircuitBreaker, FailedProbeReopensForAnotherCooldown) {
 class AdmissionTest : public ::testing::Test {
  protected:
   SimClock clock_;
-  net::SimNetwork network_{net::NetworkConfig{}, &clock_};
+  EventLoop loop_{&clock_};
+  net::SimNetwork network_{net::NetworkConfig{}, loop_};
 };
 
 TEST_F(AdmissionTest, DefaultAdmissionAdmitsEverythingAndMovesNoCounter) {
@@ -321,7 +323,6 @@ TEST(Zipf, SkewedWorkloadRunsCleanAndDeterministically) {
     config.nodes = 4;
     config.kosha.replicas = 2;
     config.seed = 913;
-    config.event_driven = true;
     KoshaCluster cluster(config);
     sim::WorkloadConfig workload;
     workload.clients = 4;
@@ -348,7 +349,6 @@ TEST(DisabledIdentity, PresentButDisabledOverloadConfigChangesNothing) {
     config.nodes = 4;
     config.kosha.replicas = 2;
     config.seed = 515;
-    config.event_driven = true;
     if (configure_knobs) {
       // Every knob set to a non-default value — but enabled stays false,
       // so none of it may influence the run.

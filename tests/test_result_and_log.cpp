@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/event_loop.hpp"
 #include "common/log.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -123,7 +124,8 @@ TEST(OverlayCosts, JoinTrafficStaysBounded) {
   // The join protocol contacts the bootstrap, the route path, and the
   // nodes in the new node's state — O(leaf set + log N), never O(N).
   SimClock clock;
-  net::SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  net::SimNetwork network({}, loop);
   pastry::PastryOverlay overlay({}, &network);
   Rng rng(2024);
   std::uint64_t before = 0;
@@ -144,7 +146,8 @@ TEST(OverlayCosts, JoinTrafficStaysBounded) {
 
 TEST(OverlayCosts, FailureRepairTrafficBounded) {
   SimClock clock;
-  net::SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  net::SimNetwork network({}, loop);
   pastry::PastryOverlay overlay({}, &network);
   Rng rng(2025);
   std::vector<pastry::NodeId> ids;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/event_loop.hpp"
 #include "common/rng.hpp"
 #include "kosha/audit.hpp"
 #include "kosha/mount.hpp"
@@ -15,7 +16,8 @@ namespace {
 
 TEST(Scale, OverlayRoutingAt512Nodes) {
   SimClock clock;
-  net::SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  net::SimNetwork network({}, loop);
   pastry::PastryOverlay overlay({}, &network);
   Rng rng(1001);
   std::vector<pastry::NodeId> ids;
@@ -38,7 +40,8 @@ TEST(Scale, HopCountGrowsLogarithmically) {
   double mean_hops_large = 0;
   for (const std::size_t n : {std::size_t{32}, std::size_t{512}}) {
     SimClock clock;
-    net::SimNetwork network({}, &clock);
+    EventLoop loop(&clock);
+    net::SimNetwork network({}, loop);
     pastry::PastryOverlay overlay({}, &network);
     for (std::size_t i = 0; i < n; ++i) overlay.join(rng.next_id(), network.add_host());
     std::uint64_t hops = 0;
@@ -59,7 +62,8 @@ TEST(Scale, HopCountGrowsLogarithmically) {
 
 TEST(Scale, OverlaySurvivesHeavyChurnAt128Nodes) {
   SimClock clock;
-  net::SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  net::SimNetwork network({}, loop);
   pastry::PastryOverlay overlay({}, &network);
   Rng rng(1003);
   std::vector<pastry::NodeId> live;

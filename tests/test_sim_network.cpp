@@ -1,8 +1,9 @@
 // Simulated network tests: latency charging, byte accounting, liveness,
-// and timeouts.
+// timeouts, and message planning under a fault plan.
 
 #include <gtest/gtest.h>
 
+#include "common/event_loop.hpp"
 #include "net/sim_network.hpp"
 
 namespace kosha::net {
@@ -10,7 +11,8 @@ namespace {
 
 TEST(SimNetwork, AddHostsStartUp) {
   SimClock clock;
-  SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network({}, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   EXPECT_EQ(a, 0u);
@@ -26,7 +28,8 @@ TEST(SimNetwork, RemoteMessageChargesHopLatency) {
   NetworkConfig config;
   config.hop_latency = SimDuration::micros(100);
   config.per_byte = SimDuration::nanos(0);
-  SimNetwork network(config, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network(config, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   network.charge_message(a, b);
@@ -40,7 +43,8 @@ TEST(SimNetwork, LocalMessageChargesLoopbackLatency) {
   config.hop_latency = SimDuration::micros(100);
   config.local_latency = SimDuration::micros(10);
   config.per_byte = SimDuration::nanos(0);
-  SimNetwork network(config, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network(config, loop);
   const HostId a = network.add_host();
   network.charge_message(a, a);
   EXPECT_EQ(clock.now().ns, SimDuration::micros(10).ns);
@@ -52,7 +56,8 @@ TEST(SimNetwork, PayloadBytesCharged) {
   config.hop_latency = SimDuration::micros(0);
   config.local_latency = SimDuration::micros(0);
   config.per_byte = SimDuration::nanos(80);
-  SimNetwork network(config, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network(config, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   network.charge_message(a, b, 1000);
@@ -62,7 +67,8 @@ TEST(SimNetwork, PayloadBytesCharged) {
 
 TEST(SimNetwork, RttIsTwoMessages) {
   SimClock clock;
-  SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network({}, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   network.charge_rtt(a, b, 64);
@@ -72,7 +78,8 @@ TEST(SimNetwork, RttIsTwoMessages) {
 
 TEST(SimNetwork, OverlayHopCountsOnlyRemote) {
   SimClock clock;
-  SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network({}, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   network.charge_overlay_hop(a, a);
@@ -85,7 +92,8 @@ TEST(SimNetwork, TimeoutChargesAndCounts) {
   SimClock clock;
   NetworkConfig config;
   config.rpc_timeout = SimDuration::millis(500);
-  SimNetwork network(config, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network(config, loop);
   network.charge_timeout();
   EXPECT_EQ(clock.now().ns, SimDuration::millis(500).ns);
   EXPECT_EQ(network.stats().timeouts, 1u);
@@ -93,53 +101,55 @@ TEST(SimNetwork, TimeoutChargesAndCounts) {
 
 TEST(FaultPlan, NoPlanDeliversEverything) {
   SimClock clock;
-  SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network({}, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
-  EXPECT_TRUE(network.try_message(a, b));
+  EXPECT_TRUE(network.plan_message(a, b, 0, clock.now()).delivered);
   EXPECT_EQ(network.stats().messages, 1u);
   EXPECT_EQ(network.stats().drops, 0u);
 }
 
 TEST(FaultPlan, DropProbabilityOneLosesEveryRemoteMessage) {
   SimClock clock;
-  SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network({}, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   FaultPlanConfig fault;
   fault.drop_probability = 1.0;
   network.set_fault_plan(std::make_unique<FaultPlan>(fault));
-  EXPECT_FALSE(network.try_message(a, b));
+  EXPECT_FALSE(network.plan_message(a, b, 0, clock.now()).delivered);
   EXPECT_EQ(network.stats().drops, 1u);
   EXPECT_EQ(network.stats().messages, 0u);
-  EXPECT_EQ(clock.now().ns, 0);  // the caller charges loss, not the wire
+  EXPECT_EQ(clock.now().ns, 0);  // planning never moves the clock
   // Loopback traffic never traverses the wire and is never judged.
-  EXPECT_TRUE(network.try_message(a, a));
+  EXPECT_TRUE(network.plan_message(a, a, 0, clock.now()).delivered);
 }
 
 TEST(FaultPlan, BrownoutWindowIsBounded) {
   SimClock clock;
-  SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network({}, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   auto plan = std::make_unique<FaultPlan>(FaultPlanConfig{});
   plan->add_brownout(b, SimDuration::millis(10), SimDuration::millis(20));
   network.set_fault_plan(std::move(plan));
 
-  EXPECT_TRUE(network.try_message(a, b));  // before the window
-  clock.advance(SimDuration::millis(15) - clock.now());
-  EXPECT_FALSE(network.try_message(a, b));  // to the host
-  EXPECT_FALSE(network.try_message(b, a));  // and from it
+  EXPECT_TRUE(network.plan_message(a, b, 0, SimDuration{}).delivered);  // before the window
+  const SimDuration during = SimDuration::millis(15);
+  EXPECT_FALSE(network.plan_message(a, b, 0, during).delivered);  // to the host
+  EXPECT_FALSE(network.plan_message(b, a, 0, during).delivered);  // and from it
   EXPECT_EQ(network.stats().drops, 2u);
-  EXPECT_EQ(network.fault_plan()->brownout_end(b, clock.now()).ns,
-            SimDuration::millis(20).ns);
-  clock.advance(SimDuration::millis(10));
-  EXPECT_TRUE(network.try_message(a, b));  // after the window
+  EXPECT_EQ(network.fault_plan()->brownout_end(b, during).ns, SimDuration::millis(20).ns);
+  EXPECT_TRUE(network.plan_message(a, b, 0, SimDuration::millis(25)).delivered);  // after
 }
 
 TEST(FaultPlan, PartitionBlocksCrossGroupTrafficOnly) {
   SimClock clock;
-  SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network({}, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   const HostId c = network.add_host();
@@ -147,24 +157,25 @@ TEST(FaultPlan, PartitionBlocksCrossGroupTrafficOnly) {
   plan->add_partition({a}, {b}, SimDuration::nanos(0), SimDuration::seconds(1));
   network.set_fault_plan(std::move(plan));
 
-  EXPECT_FALSE(network.try_message(a, b));
-  EXPECT_FALSE(network.try_message(b, a));
+  const SimDuration during{};
+  EXPECT_FALSE(network.plan_message(a, b, 0, during).delivered);
+  EXPECT_FALSE(network.plan_message(b, a, 0, during).delivered);
   EXPECT_EQ(network.stats().partitioned, 2u);
-  EXPECT_TRUE(network.try_message(a, c));  // same side / unlisted host
-  clock.advance(SimDuration::seconds(2));
-  EXPECT_TRUE(network.try_message(a, b));  // window expired
+  EXPECT_TRUE(network.plan_message(a, c, 0, during).delivered);  // same side / unlisted host
+  EXPECT_TRUE(network.plan_message(a, b, 0, SimDuration::seconds(2)).delivered);  // expired
 }
 
 TEST(FaultPlan, ForcedDropHitsTheScheduledMessage) {
   SimClock clock;
-  SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network({}, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   network.set_fault_plan(std::make_unique<FaultPlan>(FaultPlanConfig{}));
   network.fault_plan()->force_drop_message(2);
-  EXPECT_TRUE(network.try_message(a, b));
-  EXPECT_FALSE(network.try_message(a, b));
-  EXPECT_TRUE(network.try_message(a, b));
+  EXPECT_TRUE(network.plan_message(a, b, 0, clock.now()).delivered);
+  EXPECT_FALSE(network.plan_message(a, b, 0, clock.now()).delivered);
+  EXPECT_TRUE(network.plan_message(a, b, 0, clock.now()).delivered);
 }
 
 TEST(FaultPlan, LatencySpikeCharged) {
@@ -172,15 +183,18 @@ TEST(FaultPlan, LatencySpikeCharged) {
   NetworkConfig config;
   config.hop_latency = SimDuration::micros(100);
   config.per_byte = SimDuration::nanos(0);
-  SimNetwork network(config, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network(config, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   FaultPlanConfig fault;
   fault.latency_spike_probability = 1.0;
   fault.latency_spike = SimDuration::millis(3);
   network.set_fault_plan(std::make_unique<FaultPlan>(fault));
-  EXPECT_TRUE(network.try_message(a, b));
-  EXPECT_EQ(clock.now().ns, (SimDuration::micros(100) + SimDuration::millis(3)).ns);
+  const auto plan = network.plan_message(a, b, 0, SimDuration::millis(1));
+  EXPECT_TRUE(plan.delivered);
+  EXPECT_EQ(plan.arrival.ns,
+            (SimDuration::millis(1) + SimDuration::micros(100) + SimDuration::millis(3)).ns);
 }
 
 TEST(FaultPlan, SameSeedSameVerdicts) {
@@ -197,7 +211,8 @@ TEST(FaultPlan, SameSeedSameVerdicts) {
 
 TEST(SimNetwork, StatsReset) {
   SimClock clock;
-  SimNetwork network({}, &clock);
+  EventLoop loop(&clock);
+  SimNetwork network({}, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
   network.charge_message(a, b, 10);

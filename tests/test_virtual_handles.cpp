@@ -68,6 +68,53 @@ TEST(VirtualHandles, DropSubtree) {
   EXPECT_NE(table.find(keep), nullptr);  // "/ax" is not inside "/a"
 }
 
+TEST(VirtualHandles, DropSubtreeSparesSiblingsSharingAPrefix) {
+  // '.' and '-' sort before '/', 'b' after it: all three must survive.
+  VirtualHandleTable table;
+  const auto a = table.bind("/a", "/s1", handle(1, 1), fs::FileType::kDirectory);
+  const auto a_child = table.bind("/a/x", "/s2", handle(1, 2), fs::FileType::kFile);
+  const auto ab = table.bind("/ab", "/s3", handle(1, 3), fs::FileType::kDirectory);
+  const auto ab_child = table.bind("/ab/x", "/s4", handle(1, 4), fs::FileType::kFile);
+  const auto dot = table.bind("/a.b", "/s5", handle(1, 5), fs::FileType::kFile);
+  const auto dash = table.bind("/a-b", "/s6", handle(1, 6), fs::FileType::kFile);
+  table.drop_subtree("/a");
+  EXPECT_EQ(table.find(a), nullptr);
+  EXPECT_EQ(table.find(a_child), nullptr);
+  EXPECT_NE(table.find(ab), nullptr);
+  EXPECT_NE(table.find(ab_child), nullptr);
+  EXPECT_NE(table.find(dot), nullptr);
+  EXPECT_NE(table.find(dash), nullptr);
+  EXPECT_EQ(table.size(), 4u);
+  EXPECT_FALSE(table.find_by_path("/a/x").has_value());
+  EXPECT_TRUE(table.find_by_path("/ab/x").has_value());
+}
+
+TEST(VirtualHandles, DropSubtreeOfRootDropsEverything) {
+  VirtualHandleTable table;
+  (void)table.bind("/", "/", handle(1, 1), fs::FileType::kDirectory);
+  (void)table.bind("/a", "/s1", handle(1, 2), fs::FileType::kDirectory);
+  (void)table.bind("/a/b", "/s2", handle(1, 3), fs::FileType::kFile);
+  table.drop_subtree("/");
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_FALSE(table.find_by_path("/").has_value());
+  EXPECT_FALSE(table.find_by_path("/a/b").has_value());
+}
+
+TEST(VirtualHandles, DropSubtreeOfLeafDropsOnlyTheLeaf) {
+  VirtualHandleTable table;
+  const auto dir = table.bind("/d", "/s1", handle(1, 1), fs::FileType::kDirectory);
+  const auto leaf = table.bind("/d/f", "/s2", handle(1, 2), fs::FileType::kFile);
+  const auto longer = table.bind("/d/f2", "/s3", handle(1, 3), fs::FileType::kFile);
+  table.drop_subtree("/d/f");
+  EXPECT_EQ(table.find(leaf), nullptr);
+  EXPECT_NE(table.find(dir), nullptr);
+  EXPECT_NE(table.find(longer), nullptr);
+  EXPECT_EQ(table.size(), 2u);
+  // Dropping a path that is not bound is a no-op.
+  table.drop_subtree("/nowhere");
+  EXPECT_EQ(table.size(), 2u);
+}
+
 TEST(VirtualHandles, HandlesAreNeverReusedAcrossPaths) {
   VirtualHandleTable table;
   const auto a = table.bind("/a", "/s", handle(1, 1), fs::FileType::kFile);
