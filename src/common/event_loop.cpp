@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "common/profile.hpp"
@@ -83,6 +84,7 @@ std::size_t EventLoop::run_until_idle() {
 }
 
 std::size_t EventLoop::run_until(const std::function<bool()>& done) {
+  if (clock_->paused()) throw std::logic_error("EventLoop::run_until under a paused clock");
   std::size_t ran = 0;
   while (!done() && step()) ++ran;
   return ran;

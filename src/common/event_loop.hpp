@@ -64,7 +64,10 @@ class EventLoop {
 
   /// Dispatch until `done()` holds (checked before every event) or the
   /// queue drains. Returns the number of events run. This is how the
-  /// synchronous RPC wrappers block on their own completion.
+  /// synchronous RPC wrappers block on their own completion. Throws
+  /// std::logic_error if the clock is paused: a frozen clock cannot move
+  /// to an event's time, so the loop would drain unrelated events at the
+  /// wrong instant.
   std::size_t run_until(const std::function<bool()>& done);
 
   /// Dispatch every event with timestamp <= `when`, then advance the

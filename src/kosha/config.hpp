@@ -114,10 +114,6 @@ struct KoshaConfig {
         return "overload.max_inflight must be >= 1 when overload control is "
                "enabled: a zero admission bound would bounce every arrival";
       }
-      if (overload.low_priority_fraction <= 0.0 || overload.low_priority_fraction > 1.0) {
-        return "overload.low_priority_fraction must be in (0, 1]: background "
-               "traffic needs a nonzero bound no looser than the foreground's";
-      }
       if (overload.retry_budget_cap < 1.0) {
         return "overload.retry_budget_cap must be >= 1: a bucket that can "
                "never hold one token forbids all retransmissions";

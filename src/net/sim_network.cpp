@@ -65,19 +65,10 @@ SimNetwork::WirePlan SimNetwork::plan_message(HostId src, HostId dst,
   return {true, at + wire + spike};
 }
 
-SimNetwork::Admit SimNetwork::admit(HostId host, SimDuration arrival, SimDuration deadline,
-                                    bool low_priority) {
-  if (admission_.max_inflight == 0) return Admit::kAdmit;
-  const unsigned bound = (low_priority && admission_.low_priority_inflight > 0)
-                             ? admission_.low_priority_inflight
-                             : admission_.max_inflight;
-  const int current = inflight(host);
-  if (current >= static_cast<int>(bound)) {
-    if (low_priority) {
-      ++stats_.shed_low_priority;
-    } else {
-      ++stats_.admission_rejected;
-    }
+SimNetwork::Admit SimNetwork::admit(HostId host, SimDuration arrival, SimDuration deadline) {
+  if (max_inflight_ == 0) return Admit::kAdmit;
+  if (inflight(host) >= static_cast<int>(max_inflight_)) {
+    ++stats_.admission_rejected;
     return Admit::kRejectInflight;
   }
   if (deadline.ns > 0) {

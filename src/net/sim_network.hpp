@@ -86,7 +86,7 @@ struct NetStats {
   /// Highest number of simultaneously in-flight (arrived, not yet
   /// completed) RPCs observed at any single host.
   std::uint64_t inflight_peak = 0;
-  /// Overload control (all zero unless an AdmissionControl is installed):
+  /// Overload control (all zero unless an admission bound is installed):
   /// arrivals bounced because the destination's in-flight bound was full.
   std::uint64_t admission_rejected = 0;
   /// Arrivals bounced because their propagated deadline could not be met
@@ -95,9 +95,6 @@ struct NetStats {
   /// Requests dropped at the service instant: their deadline had passed
   /// while they queued (dead work refused instead of executed).
   std::uint64_t expired = 0;
-  /// Background (low-priority) arrivals shed at the tighter background
-  /// bound while foreground traffic still fit.
-  std::uint64_t shed_low_priority = 0;
   /// Per-procedure breakdown of client RPC traffic (a slice of the
   /// aggregates above; overlay/replication traffic has no procedure).
   std::array<ProcNetStats, kNetProcSlots> per_proc{};
@@ -153,35 +150,25 @@ class SimNetwork {
 
   // --- overload control (admission at the service queue) ------------------
 
-  /// Per-host admission bounds; installed by the cluster when overload
-  /// control is enabled. max_inflight == 0 (the default) disables every
-  /// admission check, keeping the unbounded-FIFO legacy behaviour and
-  /// leaving all overload counters untouched.
-  struct AdmissionControl {
-    unsigned max_inflight = 0;
-    /// Tighter bound for background (low-priority) traffic; 0 = use
-    /// max_inflight for every class.
-    unsigned low_priority_inflight = 0;
-  };
-  void set_admission(AdmissionControl admission) { admission_ = admission; }
-  [[nodiscard]] const AdmissionControl& admission() const { return admission_; }
+  /// Per-host admission bound; installed by the cluster when overload
+  /// control is enabled. 0 (the default) disables every admission check,
+  /// keeping the unbounded-FIFO legacy behaviour and leaving all overload
+  /// counters untouched.
+  void set_max_inflight(unsigned max_inflight) { max_inflight_ = max_inflight; }
 
   /// Admission verdict for one arrival.
   enum class Admit {
     kAdmit,           // queue it
-    kRejectInflight,  // destination at its in-flight bound (or the
-                      // background bound, for low-priority traffic)
+    kRejectInflight,  // destination at its in-flight bound
     kRejectDeadline,  // even immediate head-of-queue service would begin
                       // after the request's propagated deadline
   };
 
   /// Judge one arrival at `host` against the installed admission bounds.
-  /// `deadline` is the request's absolute give-up time (0 = none);
-  /// `low_priority` marks background traffic (repair, anti-entropy) that
-  /// sheds at the tighter bound. Pure with respect to clock and Rng —
-  /// only the overload rejection counters move, and only on rejection.
-  [[nodiscard]] Admit admit(HostId host, SimDuration arrival, SimDuration deadline,
-                            bool low_priority);
+  /// `deadline` is the request's absolute give-up time (0 = none). Pure
+  /// with respect to clock and Rng — only the overload rejection counters
+  /// move, and only on rejection.
+  [[nodiscard]] Admit admit(HostId host, SimDuration arrival, SimDuration deadline);
 
   /// Count one request dropped at its service instant because its deadline
   /// passed while it queued (the event-driven execute step refuses the
@@ -291,7 +278,7 @@ class SimNetwork {
   std::vector<SimDuration> busy_until_;
   std::vector<int> inflight_;
   std::vector<HostObs> host_obs_;
-  AdmissionControl admission_;
+  unsigned max_inflight_ = 0;
 };
 
 }  // namespace kosha::net

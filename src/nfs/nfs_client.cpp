@@ -86,7 +86,7 @@ NfsResult<ReplyT> NfsClient::transact(NfsProc proc, net::HostId server,
                                       ReplyBytes&& reply_bytes) {
   // RPCs cost real service-queue time, so none may run under a paused
   // clock: background work charges its traffic store-direct instead.
-  assert(!network_->clock().paused());
+  // run_until below throws if the clock is paused.
   SpanScope span(network_->tracer(), rpc_span_name(proc), self_);
   if (span.active()) span.tag("server", std::to_string(server));
   const SimDuration start = network_->clock().now();

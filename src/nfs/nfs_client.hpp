@@ -420,7 +420,7 @@ void NfsClient::call_async(std::size_t proc_slot, net::HostId server,
     void arrive(SimDuration dl, unsigned born) {
       const SimDuration arrival = loop->now();
       if (c->overload_.enabled) {
-        if (c->network_->admit(server, arrival, dl, false) != net::SimNetwork::Admit::kAdmit) {
+        if (c->network_->admit(server, arrival, dl) != net::SimNetwork::Admit::kAdmit) {
           // Bounced at the door: a rejection costs one cheap reply
           // message instead of queue occupancy and service time.
           emit_wait_span("server.shed", server, arrival, arrival);

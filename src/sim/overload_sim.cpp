@@ -170,7 +170,6 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
   result.admission_rejected = net.admission_rejected;
   result.deadline_rejected = net.deadline_rejected;
   result.expired = net.expired;
-  result.shed_low_priority = net.shed_low_priority;
   result.inflight_peak = net.inflight_peak;
   for (const net::HostId host : cluster.live_hosts()) {
     const auto client = cluster.daemon(host).nfs_client().overload_stats();
@@ -231,7 +230,7 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
          std::to_string(result.retries) + ",admission_rejected," +
          std::to_string(result.admission_rejected) + ",deadline_rejected," +
          std::to_string(result.deadline_rejected) + ",expired," + std::to_string(result.expired) +
-         ",shed_low_priority," + std::to_string(result.shed_low_priority) + "\n";
+         "\n";
   csv += "C,overloaded_replies," + std::to_string(result.overloaded_replies) +
          ",budget_exhausted," + std::to_string(result.budget_exhausted) + ",breaker_opens," +
          std::to_string(result.breaker_opens) + ",breaker_fast_fails," +

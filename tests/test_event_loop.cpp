@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -120,6 +121,21 @@ TEST(EventLoop, RunUntilStopsAtPredicateLeavingTheRestPending) {
   EXPECT_EQ(loop.pending(), 1u);
   loop.run_until_idle();
   EXPECT_EQ(ran, 3);
+}
+
+TEST(EventLoop, RunUntilRefusesAPausedClock) {
+  SimClock clock;
+  EventLoop loop(&clock);
+  int ran = 0;
+  loop.schedule_at(SimDuration::micros(1), [&] { ++ran; });
+  {
+    ClockPauser pause(clock);
+    EXPECT_THROW(loop.run_until([] { return false; }), std::logic_error);
+  }
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_until([&] { return ran == 1; });
+  EXPECT_EQ(clock.now(), SimDuration::micros(1));
 }
 
 /// The determinism guard: two same-seed loops given the same schedule

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/event_loop.hpp"
 #include "nfs/nfs_client.hpp"
 
@@ -152,6 +154,16 @@ TEST(NfsClient, UnreachableHostTimesOut) {
   // Recovery restores service.
   fx.network.set_up(fx.server_host, true);
   EXPECT_TRUE(fx.client.getattr(*root).ok());
+}
+
+TEST(NfsClient, SynchronousRpcUnderPausedClockThrows) {
+  Fixture fx;
+  const auto root = fx.client.mount(fx.server_host);
+  ASSERT_TRUE(root.ok());
+  ClockPauser pause(fx.clock);
+  // A program error, not a recoverable status: the abandoned call's events
+  // stay queued, so the fixture is not used again.
+  EXPECT_THROW((void)fx.client.getattr(*root), std::logic_error);
 }
 
 TEST(NfsClient, UnknownServerUnreachable) {

@@ -176,44 +176,34 @@ class AdmissionTest : public ::testing::Test {
 
 TEST_F(AdmissionTest, DefaultAdmissionAdmitsEverythingAndMovesNoCounter) {
   network_.note_inflight(0, 100);
-  EXPECT_EQ(network_.admit(0, SimDuration::millis(1), SimDuration::nanos(1), false),
-            net::SimNetwork::Admit::kAdmit);
-  EXPECT_EQ(network_.admit(0, SimDuration::millis(1), SimDuration{}, true),
+  EXPECT_EQ(network_.admit(0, SimDuration::millis(1), SimDuration::nanos(1)),
             net::SimNetwork::Admit::kAdmit);
   EXPECT_EQ(network_.stats().admission_rejected, 0u);
   EXPECT_EQ(network_.stats().deadline_rejected, 0u);
-  EXPECT_EQ(network_.stats().shed_low_priority, 0u);
 }
 
-TEST_F(AdmissionTest, InflightBoundRejectsForegroundAndTighterBoundShedsBackground) {
-  network_.set_admission({.max_inflight = 4, .low_priority_inflight = 2});
-  network_.note_inflight(3, 2);
-  // Background already at its bound; foreground still fits.
-  EXPECT_EQ(network_.admit(3, SimDuration{}, SimDuration{}, true),
-            net::SimNetwork::Admit::kRejectInflight);
-  EXPECT_EQ(network_.stats().shed_low_priority, 1u);
-  EXPECT_EQ(network_.admit(3, SimDuration{}, SimDuration{}, false),
-            net::SimNetwork::Admit::kAdmit);
-  network_.note_inflight(3, 2);
-  EXPECT_EQ(network_.admit(3, SimDuration{}, SimDuration{}, false),
+TEST_F(AdmissionTest, InflightBoundRejectsArrivalsAtTheBound) {
+  network_.set_max_inflight(4);
+  network_.note_inflight(3, 3);
+  EXPECT_EQ(network_.admit(3, SimDuration{}, SimDuration{}), net::SimNetwork::Admit::kAdmit);
+  network_.note_inflight(3, 1);
+  EXPECT_EQ(network_.admit(3, SimDuration{}, SimDuration{}),
             net::SimNetwork::Admit::kRejectInflight);
   EXPECT_EQ(network_.stats().admission_rejected, 1u);
   // A different host is unaffected.
-  EXPECT_EQ(network_.admit(4, SimDuration{}, SimDuration{}, false),
-            net::SimNetwork::Admit::kAdmit);
+  EXPECT_EQ(network_.admit(4, SimDuration{}, SimDuration{}), net::SimNetwork::Admit::kAdmit);
 }
 
 TEST_F(AdmissionTest, DeadlineRejectsWhenHeadOfQueueServiceWouldStartTooLate) {
-  network_.set_admission({.max_inflight = 64, .low_priority_inflight = 0});
+  network_.set_max_inflight(64);
   network_.end_service(5, SimDuration::millis(50));  // busy until t=50ms
   const SimDuration arrival = SimDuration::millis(10);
-  EXPECT_EQ(network_.admit(5, arrival, SimDuration::millis(20), false),
+  EXPECT_EQ(network_.admit(5, arrival, SimDuration::millis(20)),
             net::SimNetwork::Admit::kRejectDeadline);
   EXPECT_EQ(network_.stats().deadline_rejected, 1u);
-  EXPECT_EQ(network_.admit(5, arrival, SimDuration::millis(60), false),
-            net::SimNetwork::Admit::kAdmit);
+  EXPECT_EQ(network_.admit(5, arrival, SimDuration::millis(60)), net::SimNetwork::Admit::kAdmit);
   // No deadline (0) never deadline-rejects, however busy the host.
-  EXPECT_EQ(network_.admit(5, arrival, SimDuration{}, false), net::SimNetwork::Admit::kAdmit);
+  EXPECT_EQ(network_.admit(5, arrival, SimDuration{}), net::SimNetwork::Admit::kAdmit);
   EXPECT_EQ(network_.stats().deadline_rejected, 1u);
 }
 
@@ -276,8 +266,6 @@ TEST(OverloadConfigValidate, EachKnobIsRangeChecked) {
     EXPECT_NE(err.find("overload."), std::string::npos) << what << ": " << err;
   };
   expect_rejected([](auto& o) { o.max_inflight = 0; }, "max_inflight zero");
-  expect_rejected([](auto& o) { o.low_priority_fraction = 0.0; }, "fraction zero");
-  expect_rejected([](auto& o) { o.low_priority_fraction = 1.5; }, "fraction above one");
   expect_rejected([](auto& o) { o.retry_budget_cap = 0.5; }, "cap below one");
   expect_rejected([](auto& o) { o.retry_budget_refill = 0.0; }, "refill zero");
   expect_rejected([](auto& o) { o.retry_budget_refill = o.retry_budget_cap + 1; },
@@ -354,7 +342,6 @@ TEST(DisabledIdentity, PresentButDisabledOverloadConfigChangesNothing) {
       // so none of it may influence the run.
       config.kosha.overload.enabled = false;
       config.kosha.overload.max_inflight = 2;
-      config.kosha.overload.low_priority_fraction = 0.9;
       config.kosha.overload.retry_budget_cap = 1.0;
       config.kosha.overload.retry_budget_refill = 0.01;
       config.kosha.overload.breaker_threshold = 1;
@@ -380,7 +367,6 @@ TEST(DisabledIdentity, PresentButDisabledOverloadConfigChangesNothing) {
   EXPECT_EQ(knobs_net.admission_rejected, 0u);
   EXPECT_EQ(knobs_net.deadline_rejected, 0u);
   EXPECT_EQ(knobs_net.expired, 0u);
-  EXPECT_EQ(knobs_net.shed_low_priority, 0u);
 }
 
 // --- repair daemon yields to foreground load -----------------------------
