@@ -8,16 +8,7 @@ NfsMount::NfsMount(net::SimNetwork* network, const nfs::ServerDirectory* directo
                    net::HostId client, net::HostId server)
     : client_(network, directory, client), server_(server) {}
 
-void NfsMount::invalidate(const std::string& path) {
-  // kosha-lint: allow(unordered-iter): erase-sweep — survivors independent of visit order
-  for (auto it = handle_cache_.begin(); it != handle_cache_.end();) {
-    if (path_is_within(it->first, path)) {
-      it = handle_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
+void NfsMount::invalidate(const std::string& path) { erase_path_subtree(handle_cache_, path); }
 
 nfs::NfsResult<nfs::FileHandle> NfsMount::lookup_cached(const std::string& path) {
   if (const auto it = handle_cache_.find(path); it != handle_cache_.end()) return it->second;

@@ -6,10 +6,10 @@
 // configuration consists of two nodes with one running as a client, and
 // the other running as a server").
 
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "nfs/nfs_client.hpp"
@@ -43,7 +43,8 @@ class NfsMount {
 
   nfs::NfsClient client_;
   net::HostId server_;
-  std::unordered_map<std::string, nfs::FileHandle> handle_cache_;
+  /// Ordered by path so invalidate() erases a subtree as one key range.
+  std::map<std::string, nfs::FileHandle> handle_cache_;
 };
 
 }  // namespace kosha::baseline

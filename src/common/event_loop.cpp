@@ -55,20 +55,18 @@ bool EventLoop::step() {
     if (cancelled_.erase(entry.id) > 0) continue;  // lazily dropped
     clock_->advance_to(entry.when);
     ++stats_.executed;
+    dispatching_ = true;
+    struct ClearOnExit {  // also when the callback throws
+      bool& flag;
+      ~ClearOnExit() { flag = false; }
+    } clear{dispatching_};
     if (profiler_ != nullptr) {
-      // Wall-clock self time of the callback body, read through the
-      // profiler's sanctioned seam (the loop itself never names a clock).
-      // Callbacks can drive nested dispatch (the synchronous RPC wrapper
-      // runs the loop from inside server invokes); nested events' wall
-      // time is subtracted so each event reports true self time.
+      // Wall-clock time of the callback body, read through the profiler's
+      // sanctioned seam (the loop itself never names a clock). Dispatch
+      // never nests, so this is the event's self time.
       const std::uint64_t wall_begin = SimProfiler::wall_now_ns();
-      const std::uint64_t saved_nested = nested_wall_ns_;
-      nested_wall_ns_ = 0;
       entry.fn();
-      const std::uint64_t total = SimProfiler::wall_now_ns() - wall_begin;
-      profiler_->record_event(entry.category,
-                              total > nested_wall_ns_ ? total - nested_wall_ns_ : 0);
-      nested_wall_ns_ = saved_nested + total;
+      profiler_->record_event(entry.category, SimProfiler::wall_now_ns() - wall_begin);
     } else {
       entry.fn();
     }
@@ -84,7 +82,7 @@ std::size_t EventLoop::run_until_idle() {
 }
 
 std::size_t EventLoop::run_until(const std::function<bool()>& done) {
-  if (clock_->paused()) throw std::logic_error("EventLoop::run_until under a paused clock");
+  if (dispatching_) throw std::logic_error("EventLoop::run_until inside an event callback");
   std::size_t ran = 0;
   while (!done() && step()) ++ran;
   return ran;

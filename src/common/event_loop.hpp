@@ -65,9 +65,8 @@ class EventLoop {
   /// Dispatch until `done()` holds (checked before every event) or the
   /// queue drains. Returns the number of events run. This is how the
   /// synchronous RPC wrappers block on their own completion. Throws
-  /// std::logic_error if the clock is paused: a frozen clock cannot move
-  /// to an event's time, so the loop would drain unrelated events at the
-  /// wrong instant.
+  /// std::logic_error when called from inside an event callback: dispatch
+  /// never nests, so a callback can never block on the loop that runs it.
   std::size_t run_until(const std::function<bool()>& done);
 
   /// Dispatch every event with timestamp <= `when`, then advance the
@@ -126,10 +125,8 @@ class EventLoop {
   EventId next_id_ = 1;
   Stats stats_;
   SimProfiler* profiler_ = nullptr;
-  /// Wall time consumed by nested dispatches inside the currently-running
-  /// callback (profiling only); lets step() report self time, not
-  /// inclusive time, when callbacks drive the loop re-entrantly.
-  std::uint64_t nested_wall_ns_ = 0;
+  /// True while step() runs a callback; run_until refuses to nest.
+  bool dispatching_ = false;
 };
 
 }  // namespace kosha

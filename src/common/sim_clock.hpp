@@ -43,55 +43,36 @@ struct SimDuration {
 
 /// Monotonic virtual clock advanced explicitly by the simulation.
 ///
-/// The clock can be paused: advances become no-ops. This models work that
-/// happens off the client's critical path (asynchronous replica mirroring,
-/// background migration) — the traffic is still counted by the network
-/// statistics, but it does not delay the foreground operation.
+/// Only foreground work moves it: the event loop when it dispatches, and
+/// the calibrated costs an operation charges on its own path (service
+/// time, koshad interposition, overlay routes). Background traffic
+/// (replica mirroring, migration, repair, failure detection) is counted by
+/// the network statistics and never touches the clock.
 class SimClock {
  public:
   [[nodiscard]] SimDuration now() const { return now_; }
 
-  void advance(SimDuration d) {
-    if (pause_depth_ == 0) now_ += d;
-  }
+  void advance(SimDuration d) { now_ += d; }
 
-  /// Jump forward to absolute time `t`; no-op when paused or `t <= now`.
+  /// Jump forward to absolute time `t`; no-op when `t <= now`.
   /// Used by the event loop when dispatching an event scheduled at `t`.
   void advance_to(SimDuration t) {
-    if (pause_depth_ == 0 && t > now_) now_ = t;
+    if (t > now_) now_ = t;
   }
 
-  /// Set the clock to exactly `t`, possibly rewinding (no-op when paused).
+  /// Set the clock to exactly `t`, possibly rewinding.
   /// Reserved for simulation drivers that evaluate alternative timelines
   /// branching from one instant — koshad's degraded read races every
   /// replica probe from the same start and keeps the earliest success, and
-  /// the multi-client and flash-crowd drivers hop between per-client
-  /// timelines. Never call this from component code: components only ever
-  /// move time forward.
-  void set_now(SimDuration t) {
-    if (pause_depth_ == 0) now_ = t;
-  }
+  /// sim::interleave_timelines hops between per-client timelines. Never
+  /// call this from component code: components only ever move time
+  /// forward.
+  void set_now(SimDuration t) { now_ = t; }
 
   void reset() { now_ = {}; }
 
-  [[nodiscard]] bool paused() const { return pause_depth_ > 0; }
-
  private:
-  friend class ClockPauser;
   SimDuration now_{};
-  int pause_depth_ = 0;
-};
-
-/// RAII pause of a SimClock (nestable).
-class ClockPauser {
- public:
-  explicit ClockPauser(SimClock& clock) : clock_(clock) { ++clock_.pause_depth_; }
-  ~ClockPauser() { --clock_.pause_depth_; }
-  ClockPauser(const ClockPauser&) = delete;
-  ClockPauser& operator=(const ClockPauser&) = delete;
-
- private:
-  SimClock& clock_;
 };
 
 /// Scoped stopwatch over a SimClock.

@@ -97,7 +97,7 @@ nfs::NfsResult<VhReply> Koshad::lookup(VirtualHandle dir, std::string_view name)
   const std::string name_copy(name);
   return finish_span(
       span, with_handle(dir, [&](const Resolved& parent) -> nfs::NfsResult<VhReply> {
-        const auto resolved = resolve_entry(parent, path, name_copy, false);
+        const auto resolved = resolve_entry(parent, path, name_copy);
         if (!resolved.ok()) return resolved.error();
         return VhReply{*vht_.find_by_path(path), resolved->attr};
       }));
@@ -371,7 +371,6 @@ nfs::NfsResult<Unit> Koshad::rmdir(VirtualHandle dir, std::string_view name) {
   if (entry == nullptr) return fail(span, nfs::NfsStat::kStale);
   const std::string path = path_child(entry->path, name);
   const std::string name_copy(name);
-  const auto depth = static_cast<unsigned>(path_depth(path));
 
   // Set when our RMDIR (of the plain directory, or of a distributed
   // directory's stored container) timed out after transmission: a later
@@ -404,7 +403,6 @@ nfs::NfsResult<Unit> Koshad::rmdir(VirtualHandle dir, std::string_view name) {
 
     // Distributed directories appear in their parent as special links.
     const bool distributed = looked->attr.type == fs::FileType::kSymlink;
-    (void)depth;
     if (!distributed) {
       note_forward(parent.host);
       const auto removed = client_.rmdir(parent.handle, name_copy);

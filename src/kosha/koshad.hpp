@@ -143,9 +143,10 @@ class Koshad {
   /// Resolve one child entry of an already-resolved parent directory.
   [[nodiscard]] nfs::NfsResult<Resolved> resolve_entry(const Resolved& parent,
                                                        const std::string& path,
-                                                       std::string_view name, bool fresh);
+                                                       std::string_view name);
 
-  /// Route a key through the overlay, updating daemon statistics.
+  /// Route a key through the overlay, updating daemon statistics and
+  /// advancing the clock by the route's cost.
   [[nodiscard]] pastry::RouteResult route(pastry::Key key);
   /// Storage host of an overlay node.
   [[nodiscard]] net::HostId host_of(pastry::NodeId node) const;

@@ -18,6 +18,9 @@ namespace kosha {
 
 pastry::RouteResult Koshad::route(pastry::Key key) {
   const auto result = runtime_->overlay->route(host_, key);
+  // The route is on the client's path: it waits out every hop and every
+  // dead routing-table entry the walk met.
+  runtime_->clock->advance(result.cost);
   ++stats_.dht_lookups;
   stats_.dht_hops += result.hops;
   if (route_hops_hist_ != nullptr) route_hops_hist_->record(static_cast<double>(result.hops));
@@ -46,13 +49,12 @@ nfs::NfsResult<Koshad::Resolved> Koshad::resolve_path(const std::string& path, b
   }
   const auto parent = resolve_path(path_parent(path), fresh);
   if (!parent.ok()) return parent.error();
-  return resolve_entry(*parent, path, path_basename(path), fresh);
+  return resolve_entry(*parent, path, path_basename(path));
 }
 
 nfs::NfsResult<Koshad::Resolved> Koshad::resolve_entry(const Resolved& parent,
                                                        const std::string& path,
-                                                       std::string_view name, bool fresh) {
-  (void)fresh;
+                                                       std::string_view name) {
   note_forward(parent.host);
   const auto looked = client_.lookup(parent.handle, name);
   if (!looked.ok()) return looked.error();

@@ -39,15 +39,7 @@ struct MountOp {
 }  // namespace
 
 void KoshaMount::invalidate(std::string_view path) {
-  const std::string normalized = normalize_path(path);
-  // kosha-lint: allow(unordered-iter): erase-sweep — survivors independent of visit order
-  for (auto it = handle_cache_.begin(); it != handle_cache_.end();) {
-    if (path_is_within(it->first, normalized)) {
-      it = handle_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  erase_path_subtree(handle_cache_, normalize_path(path));
 }
 
 nfs::NfsResult<VirtualHandle> KoshaMount::resolve(std::string_view path) {

@@ -6,9 +6,9 @@
 // absolute virtual paths and drives the daemon's handle-based NFS
 // interface underneath (the way the kernel's NFS client would).
 
+#include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "kosha/koshad.hpp"
@@ -62,7 +62,9 @@ class KoshaMount {
   [[nodiscard]] nfs::NfsResult<fs::Attr> stat_impl(std::string_view path);
 
   Koshad* daemon_;
-  std::unordered_map<std::string, VirtualHandle> handle_cache_;
+  /// Resolved handles by normalised path, ordered so invalidate() erases a
+  /// subtree as one key range.
+  std::map<std::string, VirtualHandle> handle_cache_;
 };
 
 }  // namespace kosha

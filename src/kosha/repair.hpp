@@ -17,7 +17,7 @@
 //
 // Invariants (DESIGN §8):
 //   * repair traffic is background: counted by NetStats, never charged to
-//     a foreground op (every pass runs under ClockPauser);
+//     a foreground op (nothing on the repair path can move the clock);
 //   * repair is idempotent: a pass over a converged node performs audits
 //     only, no mutations;
 //   * repair is rate-limited: at most max_pushes_per_tick anchor pushes

@@ -146,14 +146,6 @@ class ReplicaManager {
   /// the audit pass re-pushes the anchor.
   void note_mirror_error();
 
-  /// If a fault plan has `peer` (or this host) in a brownout right now,
-  /// advance the virtual clock past the window (chained windows included)
-  /// before starting a repair copy: membership-driven re-replication waits
-  /// for a stalled neighbor instead of replicating into the outage. No-op
-  /// without a fault plan, and while the clock is paused (store-direct
-  /// async mirroring is already immune to message loss).
-  void stall_through_brownout(net::HostId peer);
-
   /// Copy one anchor subtree to a target's hidden area (flag-guarded).
   /// Returns false if interrupted by fault injection.
   bool push_anchor_to(pastry::NodeId target, const std::string& stored_anchor_path);
@@ -218,15 +210,14 @@ class ReplicaManager {
   std::map<Uint128, std::map<std::string, std::string>> replicas_held_;
 };
 
-/// Copy a subtree between two stores, charging one message per entry plus
+/// Copy a subtree between two stores, counting one message per entry plus
 /// payload bytes on the network. Does not follow symlinks (special links
 /// are copied as links). When both ends are content-addressed, a file's
-/// message charges only the bytes of blocks the destination does not
+/// message counts only the bytes of blocks the destination does not
 /// already hold (delta transfer over the Merkle manifest); flat stores
-/// charge the full file size as before. Returns false if interrupted by
-/// the runtime's fault-injection hook.
-bool copy_subtree(Runtime& runtime, net::HostId src_host, fs::StorageBackend& src,
-                  const std::string& src_path, net::HostId dst_host, fs::StorageBackend& dst,
-                  const std::string& dst_path);
+/// count the full file size. Returns false if interrupted by the
+/// runtime's fault-injection hook.
+bool copy_subtree(Runtime& runtime, fs::StorageBackend& src, const std::string& src_path,
+                  fs::StorageBackend& dst, const std::string& dst_path);
 
 }  // namespace kosha

@@ -1,6 +1,6 @@
 #include "kosha/virtual_handles.hpp"
 
-#include <iterator>
+#include "common/path.hpp"
 
 namespace kosha {
 
@@ -38,24 +38,7 @@ void VirtualHandleTable::drop(VirtualHandle vh) {
 }
 
 void VirtualHandleTable::drop_subtree(const std::string& path) {
-  if (path == "/") {
-    entries_.clear();
-    by_path_.clear();
-    return;
-  }
-  const auto erase_range = [this](auto first, auto last) {
-    for (auto it = first; it != last; ++it) entries_.erase(it->second);
-    by_path_.erase(first, last);
-  };
-  // The path itself, then its descendants: every key in [path + "/",
-  // path + "0") — '0' follows '/' in ASCII, so the range holds exactly the
-  // paths below `path`, never a sibling such as path + "b" or path + ".b".
-  const auto self = by_path_.find(path);
-  if (self != by_path_.end()) erase_range(self, std::next(self));
-  std::string bound = path + '/';
-  const auto first = by_path_.lower_bound(bound);
-  bound.back() = '0';
-  erase_range(first, by_path_.lower_bound(bound));
+  erase_path_subtree(by_path_, path, [this](std::uint64_t vh) { entries_.erase(vh); });
 }
 
 bool VirtualHandleTable::rebind(VirtualHandle vh, const std::string& stored_path,

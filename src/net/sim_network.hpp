@@ -5,15 +5,18 @@
 // The paper's testbed is a 100 Mb/s switched Ethernet of desktops. The
 // simulator models it as a flat network where every message between two
 // distinct hosts costs one hop latency of virtual time, plus optional
-// per-byte transmission cost. Host liveness is tracked here; an RPC to a
-// dead host costs a timeout. All costs accrue on a shared SimClock, and
-// message/hop counters feed the analytic-model comparison in §6.1.2.
+// per-byte transmission cost (wire_time). Host liveness is tracked here;
+// an RPC to a dead host costs a timeout. Message/hop counters feed the
+// analytic-model comparison in §6.1.2.
 //
 // Every network runs on an EventLoop: RPC messages are planned with
 // plan_message() and delivered as scheduled events through per-host
 // service queues. An optional FaultPlan (net/fault_plan.hpp) enriches the
 // binary up/down model with message drops, host brownouts, partitions,
 // and latency spikes; plan_message() judges every RPC message under it.
+// Background traffic (overlay maintenance, replica mirroring and repair)
+// is only counted (count_message and friends); the network itself never
+// moves the clock.
 
 #include <array>
 #include <cstdint>
@@ -104,11 +107,11 @@ struct NetStats {
   friend bool operator==(const NetStats&, const NetStats&) = default;
 };
 
-/// Flat simulated network: liveness registry + virtual-time cost charging.
+/// Flat simulated network: liveness registry, wire-time model, accounting.
 class SimNetwork {
  public:
-  /// The network runs on `loop` (which must outlive it) and charges time
-  /// on the loop's clock.
+  /// The network runs on `loop` (which must outlive it) and reads time
+  /// from the loop's clock.
   SimNetwork(NetworkConfig config, EventLoop& loop);
 
   /// Register a new host (initially up); returns its id.
@@ -118,9 +121,24 @@ class SimNetwork {
   [[nodiscard]] bool is_up(HostId host) const { return up_.at(host); }
   void set_up(HostId host, bool up) { up_.at(host) = up; }
 
-  /// Charge one one-way message of `payload_bytes` from src to dst.
-  /// Local delivery (src == dst) is free.
-  void charge_message(HostId src, HostId dst, std::size_t payload_bytes = 0);
+  /// Virtual time one one-way message of `payload_bytes` spends on the
+  /// wire from src to dst: hop latency (loopback latency when src == dst)
+  /// plus per-byte cost. The one latency formula of the simulated LAN.
+  [[nodiscard]] SimDuration wire_time(HostId src, HostId dst, std::size_t payload_bytes) const;
+
+  /// Count one background message of `payload_bytes`; the clock is not
+  /// touched.
+  void count_message(std::size_t payload_bytes = 0);
+  /// Count a request/response round trip (the reply carries no payload).
+  void count_rtt(std::size_t payload_bytes = 0) {
+    count_message(payload_bytes);
+    count_message(0);
+  }
+  /// Count one overlay routing hop: a message, and a hop when remote.
+  void count_overlay_hop(HostId src, HostId dst) {
+    if (src != dst) ++stats_.overlay_hops;
+    count_message(0);
+  }
 
   /// Install (or clear, with nullptr) the fault plan.
   void set_fault_plan(std::unique_ptr<FaultPlan> plan) { fault_plan_ = std::move(plan); }
@@ -198,9 +216,8 @@ class SimNetwork {
   /// execute step, which knows both service bounds.
   void note_service_time(HostId host, SimDuration busy);
 
-  /// Count a timeout whose duration elapses as a scheduled event rather
-  /// than an immediate clock advance (the event-driven twin of
-  /// charge_timeout).
+  /// Count a timeout. Its duration is the waiter's to spend: an RPC client
+  /// schedules it as an event, an overlay route adds it to its cost.
   void note_timeout() { ++stats_.timeouts; }
 
   /// Record one client retransmission of procedure `proc_slot` (kept here
@@ -222,15 +239,6 @@ class SimNetwork {
   void note_proc_timeout(std::size_t proc_slot) {
     if (proc_slot < kNetProcSlots) ++stats_.per_proc[proc_slot].timeouts;
   }
-
-  /// Charge a request/response round trip.
-  void charge_rtt(HostId src, HostId dst, std::size_t payload_bytes = 0);
-
-  /// Charge one overlay routing hop (message + hop counter).
-  void charge_overlay_hop(HostId src, HostId dst);
-
-  /// Charge the cost of discovering that a host is dead.
-  void charge_timeout();
 
   /// Install the cluster's observability sinks (nullptr = off). The network
   /// is the one object every layer already holds, so it doubles as the

@@ -84,9 +84,9 @@ template <typename ReplyT, typename Invoke, typename ReplyBytes>
 NfsResult<ReplyT> NfsClient::transact(NfsProc proc, net::HostId server,
                                       std::size_t request_bytes, Invoke&& invoke,
                                       ReplyBytes&& reply_bytes) {
-  // RPCs cost real service-queue time, so none may run under a paused
-  // clock: background work charges its traffic store-direct instead.
-  // run_until below throws if the clock is paused.
+  // RPCs cost real service-queue time, so background work never issues
+  // one: it counts its traffic store-direct instead. run_until below
+  // throws if this is called from inside an event callback.
   SpanScope span(network_->tracer(), rpc_span_name(proc), self_);
   if (span.active()) span.tag("server", std::to_string(server));
   const SimDuration start = network_->clock().now();

@@ -162,9 +162,6 @@ void FailureDetector::maybe_reinstate(NodeId peer, std::uint64_t peer_boot) {
   ++it->second.generation;
   ++stats_.reinstated;
   trace_event("fd.reinstate", peer);
-  // Reintroduction repairs the leaf set off the critical path: the traffic
-  // is counted but does not stall whatever foreground op is in flight.
-  ClockPauser pause(loop_->clock());
   overlay_->reintroduce(self_, peer);
 }
 
@@ -334,9 +331,6 @@ void FailureDetector::declare_dead(NodeId target, PeerState& state) {
   ++state.generation;
   ++stats_.declared_dead;
   trace_event("fd.declare", target);
-  // Repair traffic is anti-entropy background work: counted, not charged
-  // against whatever foreground operation happens to be in flight.
-  ClockPauser pause(loop_->clock());
   overlay_->report_failure(self_, target);
 }
 

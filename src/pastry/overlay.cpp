@@ -120,16 +120,19 @@ std::optional<NodeId> PastryOverlay::compute_next_hop(const Node& cur, Key key,
 RouteResult PastryOverlay::route(net::HostId from_host, Key key) {
   Node* cur = &node(node_on_host(from_host));
   unsigned hops = 0;
+  SimDuration cost{};
   for (;;) {
     std::vector<NodeId> dead;
     const auto next = compute_next_hop(*cur, key, &dead);
     for (const NodeId d : dead) {
       cur->table.remove(d);
-      network_->charge_timeout();
+      network_->note_timeout();
+      cost += network_->config().rpc_timeout;
     }
-    if (!next.has_value()) return {cur->id, hops};
+    if (!next.has_value()) return {cur->id, hops, cost};
     Node& nx = node(*next);
-    network_->charge_overlay_hop(cur->host, nx.host);
+    network_->count_overlay_hop(cur->host, nx.host);
+    cost += network_->wire_time(cur->host, nx.host, 0);
     cur = &nx;
     if (++hops > 128) throw std::runtime_error("pastry routing did not converge");
   }
@@ -176,14 +179,14 @@ void PastryOverlay::join(NodeId id, net::HostId host) {
   Node* boot = &node(ring_.sorted().front().first);
   std::vector<Node*> path{boot};
   Node* cur = boot;
-  network_->charge_message(x.host, boot->host);  // contact the bootstrap
+  network_->count_message();  // contact the bootstrap
   for (;;) {
     std::vector<NodeId> dead;
     const auto next = compute_next_hop(*cur, id, &dead);
     for (const NodeId d : dead) cur->table.remove(d);
     if (!next.has_value()) break;
     Node& nx = node(*next);
-    network_->charge_overlay_hop(cur->host, nx.host);
+    network_->count_overlay_hop(cur->host, nx.host);
     cur = &nx;
     path.push_back(cur);
   }
@@ -191,7 +194,7 @@ void PastryOverlay::join(NodeId id, net::HostId host) {
   // Build the new node's state from every node on the path (a superset of
   // the classic per-row copy; converges to the same tables).
   for (Node* p : path) {
-    network_->charge_message(p->host, x.host, kStateBytes);
+    network_->count_message(kStateBytes);
     auto offer = [&](NodeId cand) {
       if (!is_live(cand)) return;
       x.table.insert(cand);
@@ -212,7 +215,7 @@ void PastryOverlay::join(NodeId id, net::HostId host) {
   for (const NodeId t : targets) {
     if (!is_live(t)) continue;
     Node& peer = node(t);
-    network_->charge_message(x.host, peer.host, kStateBytes / 4);
+    network_->count_message(kStateBytes / 4);
     peer.table.insert(id);
     if (peer.leaves.insert(id)) notify_leaf_change(peer);
   }
@@ -247,7 +250,7 @@ void PastryOverlay::repair_leaf_set(Node& n) {
     }
     if (!is_live(m)) continue;  // a silent peer answers no state pull
     const Node& peer = node(m);
-    network_->charge_rtt(n.host, peer.host, kStateBytes / 4);
+    network_->count_rtt(kStateBytes / 4);
     n.leaves.insert(peer.id);
     for (const NodeId cand : peer.leaves.members()) {
       if (acceptable(cand)) n.leaves.insert(cand);
@@ -276,7 +279,7 @@ void PastryOverlay::fail(NodeId id) {
     Node& n = *up;
     if (!n.alive) continue;
     if (n.leaves.remove(id)) {
-      network_->charge_timeout();  // the failure is detected by a peer
+      network_->note_timeout();  // the failure is detected by a peer
       repair_leaf_set(n);
       notify_leaf_change(n);
     }
@@ -300,7 +303,7 @@ void PastryOverlay::reintroduce(NodeId observer, NodeId peer) {
   if (!n.alive || !is_live(peer)) return;
   // Exchange state with the returning peer (it may have drifted while we
   // shunned it), then fold it back in.
-  network_->charge_rtt(n.host, node(peer).host, kStateBytes / 4);
+  network_->count_rtt(kStateBytes / 4);
   n.table.insert(peer);
   if (n.leaves.insert(peer)) notify_leaf_change(n);
 }

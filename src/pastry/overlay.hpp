@@ -6,7 +6,10 @@
 // routing a join message to the numerically closest existing node and
 // copying state from the nodes along the path; failures trigger leaf-set
 // repair at affected nodes and are detected lazily in routing tables.
-// All inter-node traffic is charged on the simulated network.
+// All inter-node traffic is counted on the simulated network; none of it
+// moves the clock. Membership maintenance is background work, and a route
+// reports its latency (RouteResult::cost) for the foreground caller to
+// spend.
 //
 // The overlay keeps a ground-truth Ring of live nodes for verification and
 // for picking deterministic bootstrap nodes; the routing protocol itself
@@ -28,10 +31,13 @@ namespace kosha::pastry {
 
 class FailureDetector;
 
-/// Result of routing a key: the owning node and the overlay hops taken.
+/// Result of routing a key: the owning node, the overlay hops taken, and
+/// the virtual time the route took (hop wire times plus one RPC timeout
+/// per dead routing-table entry met on the way).
 struct RouteResult {
   NodeId owner;
   unsigned hops = 0;
+  SimDuration cost{};
 };
 
 /// Fired on a node when its leaf set membership changes (join or repair).
@@ -48,11 +54,11 @@ class PastryOverlay {
 
   /// Join a new node with identifier `id` living on `host` (one overlay
   /// node per host). Performs the Pastry join protocol against a live
-  /// bootstrap node, charging overlay traffic.
+  /// bootstrap node, counting overlay traffic.
   void join(NodeId id, net::HostId host);
 
   /// Crash-fail a node with oracle-driven repair: live nodes holding it in
-  /// their leaf sets repair immediately (charged); routing-table entries
+  /// their leaf sets repair immediately (counted); routing-table entries
   /// decay lazily. Equivalent to mark_dead() plus telling every affected
   /// survivor at once — the legacy path used when self-healing is off.
   void fail(NodeId id);
@@ -81,10 +87,12 @@ class PastryOverlay {
   [[nodiscard]] NodeId node_on_host(net::HostId host) const;
   [[nodiscard]] bool host_has_node(net::HostId host) const;
 
-  /// Route `key` from the node on `from_host`; charges one message per hop.
+  /// Route `key` from the node on `from_host`; counts one message per hop
+  /// and prunes dead routing-table entries it meets. The clock is not
+  /// touched: the caller decides whether to spend the returned cost.
   [[nodiscard]] RouteResult route(net::HostId from_host, Key key);
 
-  /// Route without charging the network (diagnostics / analytics).
+  /// Route without counting traffic (diagnostics / analytics).
   [[nodiscard]] RouteResult trace_route(NodeId from, Key key) const;
 
   /// The K leaf-set neighbors of `node`, closest first — Kosha's replica

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -28,13 +30,28 @@ std::string file_content(std::size_t client, std::size_t file, std::size_t bytes
 struct Client {
   std::unique_ptr<KoshaMount> mount;
   std::string root;       // "/u<c>"
-  SimDuration local{};    // this client's virtual finish time so far
   std::size_t next_op = 0;
-  std::size_t total_ops = 0;
   Rng zipf_rng{0};        // per-client popularity stream (zipf_s > 0 only)
 };
 
 }  // namespace
+
+void interleave_timelines(
+    SimClock& clock, const std::vector<std::optional<SimDuration>>& starts,
+    const std::function<std::optional<SimDuration>(std::size_t)>& step) {
+  // Min-heap of (local time, index): pairs order by time, then by index.
+  using Slot = std::pair<SimDuration, std::size_t>;
+  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> ready;
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    if (starts[i].has_value()) ready.emplace(*starts[i], i);
+  }
+  while (!ready.empty()) {
+    const auto [local, index] = ready.top();
+    ready.pop();
+    clock.set_now(local);
+    if (const auto next = step(index)) ready.emplace(*next, index);
+  }
+}
 
 WorkloadResult run_multi_client_workload(KoshaCluster& cluster,
                                          const WorkloadConfig& config) {
@@ -60,8 +77,6 @@ WorkloadResult run_multi_client_workload(KoshaCluster& cluster,
     clients[c].mount =
         std::make_unique<KoshaMount>(&cluster.daemon(hosts[c % hosts.size()]));
     clients[c].root = "/u" + std::to_string(c);
-    clients[c].local = t0;
-    clients[c].total_ops = ops_per_client;
     if (zipf) clients[c].zipf_rng = zipf_root.fork(c);
   }
 
@@ -73,25 +88,13 @@ WorkloadResult run_multi_client_workload(KoshaCluster& cluster,
     op_latency = metrics->histogram("sim.op.latency_us");
   }
 
-  // Conservative discrete-event interleaving: always advance the client
-  // with the lowest local time (lowest index on ties), so storage-node
-  // service queues see arrivals in timestamp order and the schedule is a
-  // pure function of the cluster seed.
   SimDuration finish = t0;
-  for (;;) {
-    std::size_t pick = clients.size();
-    for (std::size_t c = 0; c < clients.size(); ++c) {
-      if (clients[c].next_op >= clients[c].total_ops) continue;
-      if (pick == clients.size() || clients[c].local < clients[pick].local) pick = c;
-    }
-    if (pick == clients.size()) break;  // every client is done
-
-    Client& cl = clients[pick];
-    clock.set_now(cl.local);
+  const std::vector<std::optional<SimDuration>> starts(clients.size(), t0);
+  interleave_timelines(clock, starts, [&](std::size_t c) -> std::optional<SimDuration> {
+    Client& cl = clients[c];
     const SimDuration before = clock.now();
 
     const std::size_t op = cl.next_op++;
-    const std::size_t c = pick;
     bool ok = false;
     if (op == 0) {
       ok = cl.mount->mkdir_p(cl.root).ok();
@@ -109,18 +112,19 @@ WorkloadResult run_multi_client_workload(KoshaCluster& cluster,
     }
 
     const SimDuration took = clock.now() - before;
-    cl.local = clock.now();
-    if (cl.local > finish) finish = cl.local;
+    if (clock.now() > finish) finish = clock.now();
     ++result.ops;
     if (!ok) ++result.failures;
     result.busy += took;
     if (took > result.max_op) result.max_op = took;
     if (op_latency != nullptr) op_latency->record(took.to_micros());
-  }
+    if (cl.next_op >= ops_per_client) return std::nullopt;
+    return clock.now();
+  });
 
   // Leave the cluster clock at the workload's end: the latest client
   // finish.
-  clock.set_now(finish);
+  clock.advance_to(finish);
   result.makespan = finish - t0;
   return result;
 }

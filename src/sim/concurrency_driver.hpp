@@ -5,18 +5,20 @@
 // Runs N simulated clients against one cluster, each mounting /kosha on
 // its own host and working in a private /u<c> subtree (mkdir, then a
 // create/write pass, then a read pass that verifies content). Client
-// timelines are interleaved conservatively: the driver always runs the
-// client with the lowest local virtual time next (ties broken by lowest
-// client index), hopping the cluster clock between per-client timelines,
-// so service-queue contention at the storage nodes is observed in
-// timestamp order and the schedule is deterministic for a given seed.
-// bench/concurrency_bench compares N clients' makespan with N times one
-// client's.
+// timelines are interleaved conservatively (interleave_timelines, which
+// the flash-crowd driver shares): the client with the lowest local virtual
+// time runs next (ties broken by lowest client index), hopping the cluster
+// clock between per-client timelines, so service-queue contention at the
+// storage nodes is observed in timestamp order and the schedule is
+// deterministic for a given seed. bench/concurrency_bench compares N
+// clients' makespan with N times one client's.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -86,6 +88,16 @@ struct WorkloadResult {
     return ops == 0 ? 0.0 : busy.to_micros() / static_cast<double>(ops);
   }
 };
+
+/// Interleave agents' timelines until every agent is done. `starts[i]` is
+/// agent i's first local time, or nullopt when it has nothing to do.
+/// `step(i)` runs one op of agent i with the clock set to the agent's
+/// local time, and returns the agent's next local time, or nullopt when
+/// the agent is done; a done agent never runs again. The clock is left
+/// where the last step put it.
+void interleave_timelines(
+    SimClock& clock, const std::vector<std::optional<SimDuration>>& starts,
+    const std::function<std::optional<SimDuration>(std::size_t)>& step);
 
 /// Run the workload on `cluster` (which must outlive the call). The
 /// cluster's clock ends at the workload's finish time.

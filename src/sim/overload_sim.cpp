@@ -33,8 +33,7 @@ struct Agent {
   std::unique_ptr<KoshaMount> mount;
   Rng rng{0};
   SimDuration think{};
-  SimDuration local{};  // next op issues at this virtual time
-  SimDuration stop{};   // no new ops at or past this time
+  SimDuration stop{};  // no new ops at or past this time
 };
 
 /// Small deterministic think-time jitter in [0, think/8] so same-think
@@ -106,16 +105,20 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
 
   const SimDuration t0 = clock.now();
   const SimDuration t_end = t0 + config.duration;
+  // Each agent's first op time; nullopt for an agent with no time to run.
+  std::vector<std::optional<SimDuration>> starts(total_agents);
   for (std::size_t i = 0; i < total_agents; ++i) {
     Agent& a = agents[i];
     const bool spike = i >= config.base_clients;
     a.think = spike ? config.spike_think : config.base_think;
-    a.local = spike ? t0 + config.spike_start : t0;
     a.stop = spike ? t0 + config.spike_end : t_end;
     // Stagger the first op inside one think period (spike agents inside a
     // much smaller slice — a flash crowd arrives nearly at once).
-    a.local += SimDuration::nanos(static_cast<std::int64_t>(
-        a.rng.next_below(static_cast<std::uint64_t>(a.think.ns) + 1)));
+    const SimDuration start =
+        (spike ? t0 + config.spike_start : t0) +
+        SimDuration::nanos(static_cast<std::int64_t>(
+            a.rng.next_below(static_cast<std::uint64_t>(a.think.ns) + 1)));
+    if (start < a.stop) starts[i] = start;
   }
 
   const std::size_t num_windows =
@@ -126,20 +129,11 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
   }
 
   // --- Main loop: conservative per-agent timeline interleaving -----------
-  // Always advance the agent with the lowest local time (lowest index on
-  // ties), hopping the cluster clock between timelines, exactly like
-  // run_multi_client_workload — the hot node's queue sees arrivals in
-  // timestamp order and the schedule is a pure function of the seed.
-  for (;;) {
-    std::size_t pick = agents.size();
-    for (std::size_t i = 0; i < agents.size(); ++i) {
-      if (agents[i].local >= agents[i].stop) continue;
-      if (pick == agents.size() || agents[i].local < agents[pick].local) pick = i;
-    }
-    if (pick == agents.size()) break;
-
-    Agent& a = agents[pick];
-    clock.set_now(a.local);
+  // Exactly like run_multi_client_workload: the hot node's queue sees
+  // arrivals in timestamp order and the schedule is a pure function of the
+  // seed.
+  interleave_timelines(clock, starts, [&](std::size_t i) -> std::optional<SimDuration> {
+    Agent& a = agents[i];
     const std::size_t file = popularity.sample(a.rng);
     const auto read = a.mount->read_file(paths[file]);
     const bool ok = read.ok() && read.value() == contents[file];
@@ -156,8 +150,10 @@ FlashCrowdResult simulate_flash_crowd(const FlashCrowdConfig& config) {
         ++result.ops_failed;
       }
     }
-    a.local = done + a.think + think_jitter(a.rng, a.think);
-  }
+    const SimDuration next = done + a.think + think_jitter(a.rng, a.think);
+    if (next >= a.stop) return std::nullopt;
+    return next;
+  });
 
   // Let abandoned request chains still queued at the hot node settle, so
   // the counters below include every piece of dead work the run created.

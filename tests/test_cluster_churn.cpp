@@ -9,9 +9,11 @@
 #include <map>
 #include <string>
 
+#include "common/event_loop.hpp"
 #include "common/rng.hpp"
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
+#include "kosha/repair.hpp"
 
 namespace kosha {
 namespace {
@@ -246,6 +248,83 @@ TEST(ClusterChurn, ClientHandlesStayValidAcrossFailover) {
     EXPECT_EQ(mount.read_file("/h/f").value(), "after!");
     EXPECT_GE(daemon.stats().failovers, 1u);
   }
+}
+
+// Membership is background work (DESIGN §8): joins, departures, oracle
+// repair and the self-healing detect-and-repair cycle count their traffic
+// in NetStats but never move the clock. Only the event loop and
+// foreground operations do.
+
+ClusterConfig membership_config(bool self_heal) {
+  ClusterConfig config;
+  config.nodes = 8;
+  config.kosha.distribution_level = 2;
+  config.kosha.replicas = 2;
+  config.seed = 17;
+  config.self_heal.enabled = self_heal;
+  return config;
+}
+
+void write_some_files(KoshaCluster& cluster) {
+  KoshaMount mount(&cluster.daemon(0));
+  for (int d = 0; d < 6; ++d) {
+    const std::string dir = "/u" + std::to_string(d) + "/d";
+    ASSERT_TRUE(mount.mkdir_p(dir).ok());
+    ASSERT_TRUE(mount.write_file(dir + "/f", std::string(512, 'a' + d)).ok());
+  }
+}
+
+/// Run `change` and expect it to leave the clock where it was while its
+/// messages and bytes are still counted.
+template <typename Change>
+void expect_counted_not_timed(KoshaCluster& cluster, const char* what, Change&& change) {
+  const SimDuration before = cluster.clock().now();
+  const net::NetStats counted = cluster.network().stats();
+  change();
+  EXPECT_EQ(cluster.clock().now().ns, before.ns) << what;
+  EXPECT_GT(cluster.network().stats().messages, counted.messages) << what;
+  EXPECT_GT(cluster.network().stats().bytes, counted.bytes) << what;
+}
+
+TEST(MembershipClock, OracleMembershipChangesNeverMoveTheClock) {
+  KoshaCluster cluster(membership_config(false));
+  EXPECT_EQ(cluster.clock().now().ns, 0);  // eight joins
+  EXPECT_GT(cluster.network().stats().messages, 0u);
+  write_some_files(cluster);
+  net::HostId added = 0;
+  expect_counted_not_timed(cluster, "add_node", [&] { added = cluster.add_node(); });
+  expect_counted_not_timed(cluster, "retire_node", [&] { cluster.retire_node(added); });
+  expect_counted_not_timed(cluster, "fail_node", [&] { cluster.fail_node(3); });
+  expect_counted_not_timed(cluster, "revive_node", [&] { cluster.revive_node(3); });
+}
+
+TEST(MembershipClock, SelfHealingCycleMovesTheClockOnlyThroughTheLoop) {
+  KoshaCluster cluster(membership_config(true));
+  EXPECT_EQ(cluster.clock().now().ns, 0);
+  write_some_files(cluster);
+  expect_counted_not_timed(cluster, "add_node", [&] { (void)cluster.add_node(); });
+
+  const SimDuration failed_at = cluster.clock().now();
+  cluster.fail_node(3);  // oracle-free: only the detectors can notice
+  EXPECT_EQ(cluster.clock().now().ns, failed_at.ns);
+  const net::NetStats counted = cluster.network().stats();
+  // Drive detection and repair in 10 us slices. Each slice must end with
+  // the clock exactly where run_until_time put it: a callback that moved
+  // the clock by more than a slice would leave it past the target.
+  const SimDuration slice = SimDuration::micros(10);
+  for (SimDuration t = failed_at + slice; t <= failed_at + SimDuration::seconds(3); t += slice) {
+    cluster.loop().run_until_time(t);
+    ASSERT_EQ(cluster.clock().now().ns, t.ns);
+  }
+  ASSERT_EQ(cluster.detections().size(), 1u);
+  std::uint64_t repaired = 0;
+  for (const net::HostId host : cluster.live_hosts()) {
+    const RepairDaemonStats& s = cluster.repair_daemon(host)->stats();
+    repaired += s.promoted + s.handed_off + s.pushed;
+  }
+  EXPECT_GT(repaired, 0u);
+  EXPECT_GT(cluster.network().stats().messages, counted.messages);
+  EXPECT_GT(cluster.network().stats().bytes, counted.bytes);
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 // Multi-client workload driver: concurrency wins and determinism of the
-// event-driven execution model.
+// event-driven execution model, and the timeline interleaver under it.
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
@@ -120,6 +124,26 @@ TEST(ConcurrencyDriver, OneClientNumbersArePinned) {
   EXPECT_EQ(result.failures, 0u);
   EXPECT_EQ(result.makespan.ns, 31'854'480);
   EXPECT_EQ(cluster.network().stats().messages, 143u);
+}
+
+TEST(TimelineInterleaver, LowestTimeFirstLowestIndexOnTiesDoneAgentsNeverRunAgain) {
+  SimClock clock;
+  const auto us = [](std::int64_t v) { return SimDuration::nanos(v * 1000); };
+  // Agents 0 and 2 start together; agent 1 has nothing to do; agent 3
+  // starts first and is done after one op; 0 and 2 are done after two.
+  const std::vector<std::optional<SimDuration>> starts = {us(5), std::nullopt, us(5), us(1)};
+  std::vector<int> runs(starts.size(), 0);
+  std::vector<std::pair<std::size_t, std::int64_t>> order;
+  sim::interleave_timelines(clock, starts, [&](std::size_t i) -> std::optional<SimDuration> {
+    order.emplace_back(i, clock.now().ns);
+    if (i == 3 || ++runs[i] == 2) return std::nullopt;
+    return clock.now() + (i == 0 ? us(10) : us(1));
+  });
+  const std::vector<std::pair<std::size_t, std::int64_t>> expected = {
+      {3, 1000}, {0, 5000}, {2, 5000}, {2, 6000}, {0, 15000}};
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(runs[1], 0);
+  EXPECT_EQ(clock.now(), us(15));
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "kosha/cluster.hpp"
 #include "kosha/mount.hpp"
+#include "nfs/wire.hpp"
 #include "trace/mab.hpp"
 
 namespace kosha {
@@ -92,6 +95,27 @@ TEST(Mount, RemoveAllDeepTree) {
     total += fx.cluster.server(host).store().used_bytes();
   }
   EXPECT_EQ(total, 0u);
+}
+
+TEST(Mount, RemoveAllSparesCachedSiblingsSharingAPrefix) {
+  Fixture fx;
+  const char* dirs[] = {"/a", "/ab", "/a.b", "/a-b"};
+  for (const char* dir : dirs) {
+    ASSERT_TRUE(fx.mount.mkdir_p(std::string(dir) + "/sub").ok());
+    ASSERT_TRUE(fx.mount.write_file(std::string(dir) + "/sub/f", dir).ok());
+  }
+  // A mount-cache miss walks the path with LOOKUPs; a hit sends none.
+  const auto lookups = [&] {
+    return fx.cluster.network().stats().per_proc[nfs::proc_slot(nfs::NfsProc::kLookup)].messages;
+  };
+  ASSERT_TRUE(fx.mount.remove_all("/a").ok());
+  const auto before = lookups();
+  for (const char* dir : {"/ab", "/a.b", "/a-b"}) {
+    EXPECT_EQ(fx.mount.read_file(std::string(dir) + "/sub/f").value(), dir);
+  }
+  EXPECT_EQ(lookups(), before);  // the siblings stayed cached
+  EXPECT_FALSE(fx.mount.exists("/a/sub/f"));
+  EXPECT_GT(lookups(), before);  // the removed subtree did not
 }
 
 TEST(Mount, RootOperationsRejected) {

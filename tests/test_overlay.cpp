@@ -224,16 +224,34 @@ TEST(Overlay, FailedHostLosesItsNode) {
   fx.overlay.fail(ids[1]);
 }
 
-TEST(Overlay, RouteChargesNetworkTime) {
+TEST(Overlay, RouteReportsItsCostWithoutMovingTheClock) {
   Fixture fx(44);
-  fx.join(16);
-  const auto before = fx.clock.now();
+  auto ids = fx.join(128);  // beyond one leaf set: routes use the tables
+  const net::NetworkConfig& net = fx.network.config();
   std::uint64_t hops = 0;
-  for (int i = 0; i < 50; ++i) hops += fx.overlay.route(0, fx.rng.next_id()).hops;
-  if (hops > 0) {
-    EXPECT_GT(fx.clock.now().ns, before.ns);
+  for (int i = 0; i < 50; ++i) {
+    const auto result = fx.overlay.route(0, fx.rng.next_id());
+    // One node per host: every hop crosses the wire.
+    EXPECT_EQ(result.cost.ns, net.hop_latency.ns * static_cast<std::int64_t>(result.hops));
+    hops += result.hops;
   }
+  EXPECT_GT(hops, 0u);
   EXPECT_GE(fx.network.stats().overlay_hops, hops);
+
+  // Dead routing-table entries are pruned on the way and each costs the
+  // walk one RPC timeout.
+  for (std::size_t i = 1; i < ids.size(); i += 2) fx.overlay.fail(ids[i]);
+  std::uint64_t timeouts = 0;
+  for (int i = 0; i < 50; ++i) {
+    const std::uint64_t before = fx.network.stats().timeouts;
+    const auto result = fx.overlay.route(0, fx.rng.next_id());
+    const std::uint64_t dead = fx.network.stats().timeouts - before;
+    EXPECT_EQ(result.cost.ns, net.hop_latency.ns * static_cast<std::int64_t>(result.hops) +
+                                  net.rpc_timeout.ns * static_cast<std::int64_t>(dead));
+    timeouts += dead;
+  }
+  EXPECT_GT(timeouts, 0u);
+  EXPECT_EQ(fx.clock.now().ns, 0);  // joins, failures and routes alike
 }
 
 }  // namespace

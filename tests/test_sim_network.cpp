@@ -1,5 +1,5 @@
-// Simulated network tests: latency charging, byte accounting, liveness,
-// timeouts, and message planning under a fault plan.
+// Simulated network tests: the wire-time model, message accounting,
+// liveness, timeouts, and message planning under a fault plan.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@ TEST(SimNetwork, AddHostsStartUp) {
   EXPECT_FALSE(network.is_up(a));
 }
 
-TEST(SimNetwork, RemoteMessageChargesHopLatency) {
+TEST(SimNetwork, RemoteWireTimeIsHopLatency) {
   SimClock clock;
   NetworkConfig config;
   config.hop_latency = SimDuration::micros(100);
@@ -32,12 +32,10 @@ TEST(SimNetwork, RemoteMessageChargesHopLatency) {
   SimNetwork network(config, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
-  network.charge_message(a, b);
-  EXPECT_EQ(clock.now().ns, SimDuration::micros(100).ns);
-  EXPECT_EQ(network.stats().messages, 1u);
+  EXPECT_EQ(network.wire_time(a, b, 0).ns, SimDuration::micros(100).ns);
 }
 
-TEST(SimNetwork, LocalMessageChargesLoopbackLatency) {
+TEST(SimNetwork, LocalWireTimeIsLoopbackLatency) {
   SimClock clock;
   NetworkConfig config;
   config.hop_latency = SimDuration::micros(100);
@@ -46,11 +44,10 @@ TEST(SimNetwork, LocalMessageChargesLoopbackLatency) {
   EventLoop loop(&clock);
   SimNetwork network(config, loop);
   const HostId a = network.add_host();
-  network.charge_message(a, a);
-  EXPECT_EQ(clock.now().ns, SimDuration::micros(10).ns);
+  EXPECT_EQ(network.wire_time(a, a, 0).ns, SimDuration::micros(10).ns);
 }
 
-TEST(SimNetwork, PayloadBytesCharged) {
+TEST(SimNetwork, WireTimeChargesPayloadBytes) {
   SimClock clock;
   NetworkConfig config;
   config.hop_latency = SimDuration::micros(0);
@@ -60,18 +57,29 @@ TEST(SimNetwork, PayloadBytesCharged) {
   SimNetwork network(config, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
-  network.charge_message(a, b, 1000);
-  EXPECT_EQ(clock.now().ns, 80'000);
+  EXPECT_EQ(network.wire_time(a, b, 1000).ns, 80'000);
+  // A planned message arrives exactly one wire time after it is sent.
+  EXPECT_EQ(network.plan_message(a, b, 1000, SimDuration::millis(1)).arrival.ns,
+            SimDuration::millis(1).ns + 80'000);
+}
+
+TEST(SimNetwork, CountingNeverMovesTheClock) {
+  SimClock clock;
+  EventLoop loop(&clock);
+  SimNetwork network({}, loop);
+  network.count_message(1000);
+  EXPECT_EQ(network.stats().messages, 1u);
   EXPECT_EQ(network.stats().bytes, 1000u);
+  network.note_timeout();
+  EXPECT_EQ(network.stats().timeouts, 1u);
+  EXPECT_EQ(clock.now().ns, 0);
 }
 
 TEST(SimNetwork, RttIsTwoMessages) {
   SimClock clock;
   EventLoop loop(&clock);
   SimNetwork network({}, loop);
-  const HostId a = network.add_host();
-  const HostId b = network.add_host();
-  network.charge_rtt(a, b, 64);
+  network.count_rtt(64);
   EXPECT_EQ(network.stats().messages, 2u);
   EXPECT_EQ(network.stats().bytes, 64u);  // reply payload not counted
 }
@@ -82,21 +90,11 @@ TEST(SimNetwork, OverlayHopCountsOnlyRemote) {
   SimNetwork network({}, loop);
   const HostId a = network.add_host();
   const HostId b = network.add_host();
-  network.charge_overlay_hop(a, a);
+  network.count_overlay_hop(a, a);
   EXPECT_EQ(network.stats().overlay_hops, 0u);
-  network.charge_overlay_hop(a, b);
+  network.count_overlay_hop(a, b);
   EXPECT_EQ(network.stats().overlay_hops, 1u);
-}
-
-TEST(SimNetwork, TimeoutChargesAndCounts) {
-  SimClock clock;
-  NetworkConfig config;
-  config.rpc_timeout = SimDuration::millis(500);
-  EventLoop loop(&clock);
-  SimNetwork network(config, loop);
-  network.charge_timeout();
-  EXPECT_EQ(clock.now().ns, SimDuration::millis(500).ns);
-  EXPECT_EQ(network.stats().timeouts, 1u);
+  EXPECT_EQ(network.stats().messages, 2u);
 }
 
 TEST(FaultPlan, NoPlanDeliversEverything) {
@@ -142,7 +140,6 @@ TEST(FaultPlan, BrownoutWindowIsBounded) {
   EXPECT_FALSE(network.plan_message(a, b, 0, during).delivered);  // to the host
   EXPECT_FALSE(network.plan_message(b, a, 0, during).delivered);  // and from it
   EXPECT_EQ(network.stats().drops, 2u);
-  EXPECT_EQ(network.fault_plan()->brownout_end(b, during).ns, SimDuration::millis(20).ns);
   EXPECT_TRUE(network.plan_message(a, b, 0, SimDuration::millis(25)).delivered);  // after
 }
 
@@ -213,9 +210,7 @@ TEST(SimNetwork, StatsReset) {
   SimClock clock;
   EventLoop loop(&clock);
   SimNetwork network({}, loop);
-  const HostId a = network.add_host();
-  const HostId b = network.add_host();
-  network.charge_message(a, b, 10);
+  network.count_message(10);
   network.stats().reset();
   EXPECT_EQ(network.stats().messages, 0u);
   EXPECT_EQ(network.stats().bytes, 0u);

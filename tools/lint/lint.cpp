@@ -182,8 +182,9 @@ const std::vector<RuleDoc>& rule_docs() {
        "virtual time only moves when the EventLoop dispatches; sleep_for/usleep "
        "stall the simulation without advancing it, and set_now inside a "
        "scheduled callback races the loop's own clock advance. Its remaining "
-       "callers (the multi-client driver, overload_sim and koshad's "
-       "degraded-read probe race) run between dispatches, never inside one."},
+       "callers (sim::interleave_timelines, which the multi-client and "
+       "flash-crowd drivers share, and koshad's degraded-read probe race) "
+       "run between dispatches, never inside one."},
       {"D4", "event-reachable",
        "nothing reachable from the event loop may reach wall clock or entropy",
        "the transitive closure of D1+D3 over the call graph: starting from the "
